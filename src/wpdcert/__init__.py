@@ -5,7 +5,7 @@ Layers:
   lattice     sparse exact classes with the signature-(1, oo) pairing
   cremona     polynomial maps (fields, polymaps) and their lattice action (action)
   hyperbolic  numeric hyperboloid geometry: geodesics, projections, tubes
-  certifier   the verification pipeline, with a compiled search kernel
+  certifier   the verification pipeline, with an exhaustive Fix-set search
   cli         machine-readable command-line front end
 """
 

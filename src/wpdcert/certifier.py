@@ -20,17 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import _bruteforce as _pure_kernel
+from . import _bruteforce
 from .action import AxisData, axis_classes
 from .fields import PrimeField
 from .hyperbolic import distance, geodesic_point, as_vector
 from .lattice import intersect
 from .polymaps import PolyMap, affine_map
-
-try:
-    from . import _ffbrute as _compiled_kernel
-except ImportError:  # pure-Python install
-    _compiled_kernel = None
 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
@@ -47,7 +42,8 @@ class ParameterError(ValueError):
 
 
 def kernel_name() -> str:
-    return "compiled" if _compiled_kernel is not None else "pure"
+    """Name of the Fix-set search kernel, as recorded in reports."""
+    return "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +195,12 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
     return [affine_map(field, a, 0, pow(a, n, p), 0) for a in field.roots_of_unity(m)]
 
 
-def fix_set_bruteforce(n: int, p: int, force_pure: bool = False) -> List[PolyMap]:
+def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     """Exhaustive search over all affine (a x + b, c y + d), a, c != 0, in F_p.
 
     Independent oracle for the Fix set: keeps candidates whose generic
     conjugates by the shift map pass the degree-1 and base-point checks (see
-    _bruteforce).  Uses the compiled kernel when available.
+    _bruteforce), derived once by generic conjugation over F_p[a, b, c, d].
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -213,10 +209,7 @@ def fix_set_bruteforce(n: int, p: int, force_pure: bool = False) -> List[PolyMap
         raise ParameterError("characteristic divides n")
     if p * p * (p - 1) * (p - 1) > _MAX_BRUTEFORCE_CANDIDATES:
         raise ParameterError(f"brute-force search over F_{p} is infeasible")
-    if _compiled_kernel is not None and not force_pure:
-        tuples = _compiled_kernel.enumerate_fix_candidates(n, p)
-    else:
-        tuples = _pure_kernel.enumerate_fix_candidates(n, p)
+    tuples = _bruteforce.enumerate_fix_candidates(n, p)
     return [affine_map(field, a, b, c, d) for (a, b, c, d) in sorted(tuples)]
 
 
@@ -313,7 +306,6 @@ def certify(
     depth: int = 20,
     p: Optional[int] = None,
     eps: Optional[float] = None,
-    force_pure: bool = False,
 ) -> CertReport:
     """Run the whole pipeline; the report passes iff every verdict holds."""
     if not isinstance(n, int) or n < 2:
@@ -394,9 +386,9 @@ def certify(
     kernel = None
     match_ok = True
     if p is not None:
-        fix_bf = fix_set_bruteforce(n, p, force_pure=force_pure)
+        fix_bf = fix_set_bruteforce(n, p)
         oracle_count = p * p * (p - 1) * (p - 1)
-        kernel = "pure" if force_pure else kernel_name()
+        kernel = kernel_name()
         match_ok = _as_tuples(fix_bf) == _as_tuples(fix_sym)
     cardinality_ok = len(fix_sym) == m
 

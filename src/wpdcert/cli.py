@@ -70,7 +70,7 @@ def _kv_rows(payload: dict, prefix=""):
 
 
 def _cmd_certify(args) -> int:
-    rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps, force_pure=args.pure)
+    rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps)
     payload = rep.to_json_dict()
     rows_data = []
     for source, maps in (("symbolic", rep.fix_symbolic), ("bruteforce", rep.fix_bruteforce or [])):
@@ -193,12 +193,12 @@ def _cmd_tube(args) -> int:
 
 def _cmd_oracle(args) -> int:
     symbolic = certifier.fix_set_symbolic(args.n, args.prime)
-    brute = certifier.fix_set_bruteforce(args.n, args.prime, force_pure=args.pure)
+    brute = certifier.fix_set_bruteforce(args.n, args.prime)
     match = certifier._as_tuples(symbolic) == certifier._as_tuples(brute)
     payload = {
         "n": args.n,
         "prime": args.prime,
-        "kernel": "pure" if args.pure else certifier.kernel_name(),
+        "kernel": certifier.kernel_name(),
         "oracle_count": args.prime ** 2 * (args.prime - 1) ** 2,
         "cardinality": len(brute),
         "symbolic": [report.fix_map_json(f) for f in symbolic],
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--prime", type=int, default=None, help="prime p = 1 (mod n^2-1), p not dividing n; omit for symbolic mode")
     p.add_argument("--eps", type=float, default=None, help="override the maximal window tolerance")
-    p.add_argument("--pure", action="store_true", help="force the pure-Python search kernel")
     p.set_defaults(func=_cmd_certify)
 
     p = common(sub.add_parser("axis", help="truncated axis classes and their exact pairings"))
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("oracle", help="brute-force Fix-set search vs the closed form"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prime", type=int, required=True, help="any prime not dividing n")
-    p.add_argument("--pure", action="store_true", help="force the pure-Python search kernel")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -296,10 +296,6 @@ def degree(f: PolyMap) -> int:
     return d
 
 
-def is_affine(f: PolyMap) -> bool:
-    return f.comp_x.degree() <= 1 and f.comp_y.degree() <= 1 and not (f.comp_x.is_zero() and f.comp_y.is_zero())
-
-
 def diagonal_affine_parts(f: PolyMap):
     """Return (a, b, c, d) for a map (a x + b, c y + d); error otherwise."""
     fx, fy = f.comp_x, f.comp_y

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpdcert import certifier
+from wpdcert import _bruteforce, certifier
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
     ParameterError,
@@ -24,7 +24,6 @@ from wpdcert.certifier import (
 )
 
 SQRT2 = math.sqrt(2.0)
-HAS_COMPILED = certifier._compiled_kernel is not None
 
 
 def test_epsilon_window_basics():
@@ -168,12 +167,9 @@ def test_fix_set_bruteforce_validation():
         fix_set_bruteforce(2, 200003)  # infeasible search space
 
 
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel not built")
-@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (2, 13), (3, 7)])
-def test_kernels_agree(n, p):
-    pure = fix_set_bruteforce(n, p, force_pure=True)
-    fast = fix_set_bruteforce(n, p, force_pure=False)
-    assert certifier._as_tuples(pure) == certifier._as_tuples(fast)
+@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (2, 13), (3, 7), (5, 7), (17, 5)])
+def test_kernel_matches_per_candidate_reference(n, p):
+    assert _bruteforce.enumerate_fix_candidates(n, p) == _bruteforce.reference_fix_candidates(n, p)
 
 
 def test_monotonicity_check():

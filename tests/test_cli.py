@@ -127,6 +127,14 @@ def test_oracle_command(capsys):
     assert "symbolic,1,0,1,0" in lines and "bruteforce,2,0,4,0" in lines
 
 
+def test_oracle_accepts_large_n(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "17", "--prime", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["match"] is True
+    assert data["cardinality"] == 4 == len(data["bruteforce"])
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "axis", "--n", "2", "--depth", "3", "--output", str(target))
