@@ -8,13 +8,19 @@ l -> n*l - e_n^-(aggregate).  The action is partial: the forward image of an
 individual low-index p-class (and the backward image of a low-index q-class)
 would need the full resolution lattice, which is not modeled; only the
 aggregate block e_n^+/- has a forced image via the group law.
+
+Cost: one step writes its image into a single dict in one pass over the
+class, so it is linear in the support; a truncation at depth d takes 2d steps
+on (2n-1)-label blocks and is linear in its support 2(2n-1)(d+1).  Label
+insertion order matches repeated ``PMClass.__add__``, which matters because
+float conversions downstream sum in dict order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .lattice import (
     FAMILY_ANON,
@@ -22,7 +28,7 @@ from .lattice import (
     FAMILY_Q,
     PMClass,
     PointLabel,
-    exceptional,
+    _accumulate,
     intersect,
     line_class,
     p_label,
@@ -50,10 +56,7 @@ def base_points(n: int, family: str = FAMILY_P) -> List[Tuple[PointLabel, int]]:
 
 def exceptional_block(n: int, family: str) -> PMClass:
     """The weighted sum of exceptional classes over one base-point tower."""
-    out = PMClass()
-    for label, mult in base_points(n, family):
-        out = out + exceptional(label) * mult
-    return out
+    return PMClass(0, base_points(n, family))
 
 
 def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
@@ -78,22 +81,28 @@ def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
 
 
 def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
-    """One application of the shift map (sign=+1) or its inverse (sign=-1)."""
+    """One application of the shift map (sign=+1) or its inverse (sign=-1).
+
+    The image is written into one dict: the other family's base-point block
+    first (when c has an l-part), then the shifted labels in input order, then
+    the aggregate-block image added onto that block.
+    """
     step = 2 * n - 1
     low_family = FAMILY_P if sign == 1 else FAMILY_Q
     other_family = FAMILY_Q if sign == 1 else FAMILY_P
-    out = PMClass()
-    if c.ell:
-        # l -> n*l - (aggregate block of the inverse map's base points)
-        out = out + (line_class() * n - exceptional_block(n, other_family)) * c.ell
+    block = base_points(n, other_family)
+    ell = c.ell * n
+    # l -> n*l - (aggregate block of the inverse map's base points)
+    out = {label: -mult * c.ell for label, mult in block} if c.ell else {}
     low_block = {}
     for label, coeff in c.exc.items():
-        if label.family == FAMILY_ANON or label.context_n != n:
+        family = label.family
+        if family == FAMILY_ANON or label.context_n != n:
             raise ActionDomainError(f"class touches label {label} outside the n={n} action")
-        if label.family == other_family:
-            out = out + exceptional(PointLabel(label.family, label.index + step, n)) * coeff
+        if family == other_family:
+            out[PointLabel(family, label.index + step, n)] = coeff
         elif label.index >= step:
-            out = out + exceptional(PointLabel(label.family, label.index - step, n)) * coeff
+            out[PointLabel(family, label.index - step, n)] = coeff
         else:
             low_block[label.index] = coeff
     if low_block:
@@ -107,8 +116,9 @@ def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
                 f"class touches the low {low_family}-tower in a non-aggregate way; "
                 "individual images there are not modeled"
             )
-        out = out + (line_class() * (n * n - 1) - exceptional_block(n, other_family) * n) * mu
-    return out
+        ell += mu * (n * n - 1)
+        _accumulate(out, ((label, -n * mult * mu) for label, mult in block))
+    return PMClass.from_canonical(ell, out)
 
 
 def henon_act(n: int, c: PMClass, power: int) -> PMClass:
@@ -153,6 +163,20 @@ class AxisData:
         """Image of w_scaled under a signed power of the shift map."""
         return henon_act(self.n, self.w_scaled, power) if power else self.w_scaled
 
+    def w_orbit(self, reach: int) -> Dict[int, PMClass]:
+        """h^k(w_scaled) for k = -reach..reach, walked outward one step at a time.
+
+        2*reach shift-map steps in all, where translate_w(k) for each k
+        separately would take reach*(reach+1).
+        """
+        orbit = {0: self.w_scaled}
+        for sign in (1, -1):
+            c = self.w_scaled
+            for k in range(1, reach + 1):
+                c = henon_act(self.n, c, sign)
+                orbit[sign * k] = c
+        return orbit
+
 
 def axis_classes(n: int, depth: int) -> AxisData:
     """Truncate the axis series of the shift map at the given depth (>= 1).
@@ -160,26 +184,35 @@ def axis_classes(n: int, depth: int) -> AxisData:
     The truncated endpoint classes satisfy, exactly:
       b_plus . b_minus = 1,   b_plus . b_plus = b_minus . b_minus = n^(-2*depth-2),
       w_scaled . w_scaled = 2 + 2*n^(-2*depth-2).
+    Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1);
+    the three series are accumulated in dicts and wrapped once.
     """
     if n < 2:
         raise ValueError("axis_classes needs n >= 2")
     if depth < 1:
         raise ValueError("axis_classes needs depth >= 1")
-    e_plus = exceptional_block(n, FAMILY_P)
-    e_minus = exceptional_block(n, FAMILY_Q)
-    ell = line_class()
-    b_plus = ell
-    b_minus = ell
-    r = PMClass()
-    fwd = e_minus
-    bwd = e_plus
+    b_plus = {}
+    b_minus = {}
+    r = {}
+    fwd = exceptional_block(n, FAMILY_Q)
+    bwd = exceptional_block(n, FAMILY_P)
     for i in range(depth + 1):
         weight = Fraction(1, n ** (i + 1))
-        b_plus = b_plus - fwd * weight
-        b_minus = b_minus - bwd * weight
-        r = r + (fwd + bwd) * weight
+        fwd_terms = [(label, coeff * weight) for label, coeff in fwd.exc.items()]
+        bwd_terms = [(label, coeff * weight) for label, coeff in bwd.exc.items()]
+        _accumulate(b_plus, ((label, -v) for label, v in fwd_terms))
+        _accumulate(b_minus, ((label, -v) for label, v in bwd_terms))
+        _accumulate(r, fwd_terms + bwd_terms)
         if i < depth:
             fwd = henon_act(n, fwd, 1)
             bwd = henon_act(n, bwd, -1)
-    tail = Fraction(2, n ** (2 * depth + 2))
-    return AxisData(n, depth, b_plus, b_minus, r, ell * 2 - r, tail)
+    r = PMClass.from_canonical(Fraction(0), r)
+    return AxisData(
+        n,
+        depth,
+        PMClass.from_canonical(Fraction(1), b_plus),
+        PMClass.from_canonical(Fraction(1), b_minus),
+        r,
+        line_class() * 2 - r,
+        Fraction(2, n ** (2 * depth + 2)),
+    )

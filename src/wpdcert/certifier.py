@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _bruteforce
 from .action import AxisData, axis_classes
 from .fields import PrimeField
-from .hyperbolic import distance, geodesic_point, as_vector
-from .lattice import intersect
+from .hyperbolic import as_vector, chord_distance, distance, geodesic_points
+from .lattice import PMClass, intersect
 from .polymaps import PolyMap, affine_map
 
 SQRT2 = math.sqrt(2.0)
@@ -231,7 +231,7 @@ def _as_tuples(maps: Sequence[PolyMap]) -> List[Tuple]:
 # Fix-set monotonicity (geometric inclusion hypothesis)
 
 
-def fix_monotonicity_check(axis: AxisData) -> dict:
+def fix_monotonicity_check(axis: AxisData, orbit: Optional[Dict[int, PMClass]] = None) -> dict:
     """Verify the convexity hypothesis behind the Fix-set inclusion chain.
 
     The five truncated axis points h^k(w), k = -2..2, must lie in order on a
@@ -239,25 +239,24 @@ def fix_monotonicity_check(axis: AxisData) -> dict:
     once, moving the outer pair by at most eps moves the inner points by at
     most eps + 2*deviation.  Direct evaluation on the Fix members themselves
     would need the action on infinitely-near points, which is out of scope.
+    ``orbit`` maps k to h^k(w_scaled), as from ``axis.w_orbit(2)`` (the
+    default).  Deviations are chord distances, which stay accurate near 0.
     """
-    points = []
-    for k in (-2, -1, 0, 1, 2):
-        cls = axis.translate_w(k)
-        norm_sq = intersect(cls, cls)
-        points.append(as_vector(cls) * (1.0 / math.sqrt(float(norm_sq))))
-    total = distance(points[0], points[-1])
+    if orbit is None:
+        orbit = axis.w_orbit(2)
+    # the shift map acts isometrically, so every h^k(w) has the norm of w
+    unit = 1.0 / math.sqrt(float(intersect(axis.w_scaled, axis.w_scaled)))
+    points = [as_vector(orbit[k]) * unit for k in (-2, -1, 0, 1, 2)]
+    from_start = [distance(points[0], p) for p in points]
+    total = from_start[-1]
     consecutive = [distance(points[i], points[i + 1]) for i in range(4)]
     additivity_gap = abs(total - sum(consecutive))
-    deviations = []
-    for k in (1, 2, 3):
-        t = distance(points[0], points[k])
-        on_geodesic = geodesic_point(points[0], points[-1], t)
-        deviations.append(distance(points[k], on_geodesic))
+    # the inner points against the geodesic points at the same distance from the start
+    on_geodesic = geodesic_points(points[0], points[-1], from_start[1:4])
+    deviations = [chord_distance(p, q) for p, q in zip(points[1:4], on_geodesic)]
     tolerance = 1e-7 + 10.0 * math.sqrt(float(axis.tail_norm_sq))
     max_dev = max(deviations + [additivity_gap])
-    ordered = all(
-        distance(points[0], points[i]) < distance(points[0], points[i + 1]) for i in range(4)
-    )
+    ordered = all(from_start[i] < from_start[i + 1] for i in range(4))
     return {
         "max_deviation": max_dev,
         "additivity_gap": additivity_gap,
@@ -326,6 +325,7 @@ def certify(
     star = epsilon_window(n, eps)
     dbound = degree_bound(n, star.chosen_eps)
     axis = axis_classes(n, depth)
+    w_norm_sq = axis.w_norm_sq()
 
     tail_exp = Fraction(1, n ** (2 * depth + 2))
     axis_facts = {
@@ -333,7 +333,7 @@ def certify(
         "b_cross": intersect(axis.b_plus, axis.b_minus),
         "b_plus_self": intersect(axis.b_plus, axis.b_plus),
         "b_minus_self": intersect(axis.b_minus, axis.b_minus),
-        "w_norm_sq": axis.w_norm_sq(),
+        "w_norm_sq": w_norm_sq,
         "expected_b_cross": Fraction(1),
         "expected_b_self": tail_exp,
         "expected_w_norm_sq": 1 + tail_exp,
@@ -355,7 +355,7 @@ def certify(
     )
 
     # distance from l to the normalized truncated projection point
-    proj_cosh = SQRT2 / math.sqrt(float(axis.w_norm_sq()))
+    proj_cosh = SQRT2 / math.sqrt(float(w_norm_sq))
     proj_dist = math.acosh(max(proj_cosh, 1.0)) if proj_cosh >= 1.0 else float("nan")
     proj_tol = 1e-9 + SQRT2 * float(tail_exp)
     projection = {
@@ -365,10 +365,10 @@ def certify(
         "ok": abs(proj_dist - ACOSH_SQRT2) <= proj_tol,
     }
 
-    # translation length: cosh of the displacement of the normalized axis point
-    w = axis.w_scaled
-    hw = axis.translate_w(1)
-    cosh_ratio = Fraction(intersect(w, hw), intersect(w, w))
+    # translation length: cosh of the displacement of the normalized axis point;
+    # h^k(w) for k = -2..2 is walked once and shared with the monotonicity check
+    orbit = axis.w_orbit(2)
+    cosh_ratio = Fraction(intersect(axis.w_scaled, orbit[1]), 2 * w_norm_sq)
     expected_cosh = Fraction(n * n + 1, 2 * n)
     trans_tol = SQRT2 * float(Fraction(1, n ** (depth + 1)))
     translation = {
@@ -378,7 +378,7 @@ def certify(
         "ok": abs(float(cosh_ratio - expected_cosh)) <= trans_tol,
     }
 
-    monotonicity = fix_monotonicity_check(axis)
+    monotonicity = fix_monotonicity_check(axis, orbit)
 
     fix_sym = fix_set_symbolic(n, p)
     fix_bf = None

@@ -12,6 +12,7 @@ lives in :mod:`wpdcert.hyperbolic`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,35 +112,33 @@ class PMClass:
     def is_zero(self) -> bool:
         return not self.ell and not self.exc
 
-    def __add__(self, other: "PMClass") -> "PMClass":
-        exc = dict(self.exc)
-        for label, coeff in other.exc.items():
-            s = exc.get(label, Fraction(0)) + coeff
-            if s:
-                exc[label] = s
-            else:
-                exc.pop(label, None)
-        out = PMClass.__new__(PMClass)
-        object.__setattr__(out, "ell", self.ell + other.ell)
+    @classmethod
+    def from_canonical(cls, ell: Fraction, exc: dict) -> "PMClass":
+        """Adopt an already canonical pair (Fraction ell, no zero entries) without copying.
+
+        The caller hands over ``exc`` and must not mutate it afterwards.
+        """
+        out = cls.__new__(cls)
+        object.__setattr__(out, "ell", ell)
         object.__setattr__(out, "exc", exc)
         return out
 
+    def __add__(self, other: "PMClass") -> "PMClass":
+        exc = dict(self.exc)
+        _accumulate(exc, other.exc.items())
+        return PMClass.from_canonical(self.ell + other.ell, exc)
+
     def __neg__(self) -> "PMClass":
-        return self * -1
+        return PMClass.from_canonical(-self.ell, {label: -coeff for label, coeff in self.exc.items()})
 
     def __sub__(self, other: "PMClass") -> "PMClass":
         return self + (-other)
 
     def __mul__(self, t: Rational) -> "PMClass":
         t = Fraction(t)
-        out = PMClass.__new__(PMClass)
         if not t:
-            object.__setattr__(out, "ell", Fraction(0))
-            object.__setattr__(out, "exc", {})
-            return out
-        object.__setattr__(out, "ell", self.ell * t)
-        object.__setattr__(out, "exc", {label: coeff * t for label, coeff in self.exc.items()})
-        return out
+            return PMClass.from_canonical(Fraction(0), {})
+        return PMClass.from_canonical(self.ell * t, {label: coeff * t for label, coeff in self.exc.items()})
 
     __rmul__ = __mul__
 
@@ -173,25 +172,42 @@ def exceptional(label: PointLabel) -> PMClass:
     return PMClass(0, {label: 1})
 
 
+def _accumulate(exc: dict, terms: Iterable[Tuple[PointLabel, Fraction]]) -> None:
+    """Add the non-zero (label, coeff) terms into exc in place, keeping exc canonical.
+
+    New labels are appended in the order of ``terms``; entries that cancel are
+    dropped, so the insertion order is that of repeated ``PMClass.__add__``.
+    """
+    for label, coeff in terms:
+        s = exc.get(label)
+        if s is None:
+            exc[label] = coeff
+            continue
+        s += coeff
+        if s:
+            exc[label] = s
+        else:
+            del exc[label]
+
+
 def intersect(c: PMClass, d: PMClass) -> Fraction:
-    """Intersection pairing; bilinear, symmetric, signature (1, oo)."""
-    total = c.ell * d.ell
+    """Intersection pairing; bilinear, symmetric, signature (1, oo).
+
+    The exceptional products are summed as integers per denominator, and
+    those sums once over the common denominator: exactly the same value,
+    without a Fraction normalisation per label.
+    """
     a, b = c.exc, d.exc
     if len(b) < len(a):
         a, b = b, a
-    for label, coeff in a.items():
-        other = b.get(label)
-        if other is not None:
-            total -= coeff * other
-    return total
-
-
-def add(c: PMClass, d: PMClass) -> PMClass:
-    return c + d
-
-
-def scale(c: PMClass, t: Rational) -> PMClass:
-    return c * t
+    by_den = {}
+    for label, x in a.items():
+        y = b.get(label)
+        if y is not None:
+            den = x.denominator * y.denominator
+            by_den[den] = by_den.get(den, 0) + x.numerator * y.numerator
+    common = math.lcm(*by_den)
+    return c.ell * d.ell - Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
 
 
 def is_unit_timelike(c: PMClass) -> bool:

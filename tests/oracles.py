@@ -5,10 +5,13 @@ each dual-route check.
 """
 
 import math
+from fractions import Fraction
 
 from scipy.optimize import brentq
 
+from wpdcert.action import ActionDomainError
 from wpdcert.hyperbolic import HVec, as_vector, mdot
+from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
 from wpdcert.polymaps import Poly2
 
 
@@ -65,3 +68,64 @@ def binomial_backward(field, n, a, b, c, d):
     comp_x[(0, 0)] = field.sub(comp_x.get((0, 0), field.zero), d)
     comp_y = {(0, 1): a, (0, 0): b}
     return Poly2(field, comp_x), Poly2(field, comp_y)
+
+
+def _reference_block(n, family):
+    """Base-point tower (n-1, 1, ..., 1) of one family, summed by repeated addition."""
+    out = PMClass()
+    for k in range(2 * n - 1):
+        out = out + exceptional(PointLabel(family, k, n)) * (n - 1 if k == 0 else 1)
+    return out
+
+
+def reference_act_once(n, c, sign):
+    """One shift-map step built by repeated PMClass addition, one term at a time.
+
+    The straightforward construction: O(support^2), but its label insertion
+    order is the contract the one-pass version must keep.
+    """
+    step = 2 * n - 1
+    low_family, other_family = ("p", "q") if sign == 1 else ("q", "p")
+    out = PMClass()
+    if c.ell:
+        out = out + (line_class() * n - _reference_block(n, other_family)) * c.ell
+    low_block = {}
+    for label, coeff in c.exc.items():
+        if label.family == "anon" or label.context_n != n:
+            raise ActionDomainError(f"class touches label {label} outside the n={n} action")
+        if label.family == other_family:
+            out = out + exceptional(PointLabel(label.family, label.index + step, n)) * coeff
+        elif label.index >= step:
+            out = out + exceptional(PointLabel(label.family, label.index - step, n)) * coeff
+        else:
+            low_block[label.index] = coeff
+    if low_block:
+        mu = low_block.get(0, Fraction(0)) / (n - 1)
+        if low_block.get(0, Fraction(0)) != mu * (n - 1) or any(
+            low_block.get(k, Fraction(0)) != mu for k in range(1, step)
+        ):
+            raise ActionDomainError(f"class touches the low {low_family}-tower in a non-aggregate way")
+        out = out + (line_class() * (n * n - 1) - _reference_block(n, other_family) * n) * mu
+    return out
+
+
+def reference_henon_act(n, c, power):
+    sign = 1 if power > 0 else -1
+    for _ in range(abs(power)):
+        c = reference_act_once(n, c, sign)
+    return c
+
+
+def reference_axis_series(n, depth):
+    """(b_plus, b_minus, r, w_scaled) of the depth-d truncation, by repeated addition."""
+    b_plus = b_minus = line_class()
+    r = PMClass()
+    fwd, bwd = _reference_block(n, "q"), _reference_block(n, "p")
+    for i in range(depth + 1):
+        weight = Fraction(1, n ** (i + 1))
+        b_plus = b_plus - fwd * weight
+        b_minus = b_minus - bwd * weight
+        r = r + (fwd + bwd) * weight
+        fwd = reference_act_once(n, fwd, 1)
+        bwd = reference_act_once(n, bwd, -1)
+    return b_plus, b_minus, r, line_class() * 2 - r

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_act_once, reference_axis_series, reference_henon_act
+from wpdcert import action
 from wpdcert.action import (
     ActionDomainError,
     axis_classes,
@@ -167,3 +169,62 @@ def test_axis_validation():
         axis_classes(1, 5)
     with pytest.raises(ValueError):
         axis_classes(2, 0)
+
+
+def _same_class_and_order(c, d):
+    return c == d and list(c.exc.items()) == list(d.exc.items())
+
+
+def _mirror_domain_class(rng, n):
+    """A class in the domain of the inverse step: aggregate low q-block, any p-labels."""
+    c = L * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    for _ in range(rng.randint(0, 4)):
+        c = c + exceptional(p_label(rng.randint(0, 12), n)) * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    c = c + exceptional_block(n, "q") * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    for _ in range(rng.randint(0, 3)):
+        c = c + exceptional(q_label(rng.randint(2 * n - 1, 9 * n), n)) * rng.randint(-4, 4)
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_act_once_matches_repeated_addition_reference(n):
+    rng = random.Random(7 * n)
+    # l + e^+/(-n) maps to l/n with the whole q-block cancelled: entries must be popped
+    cancelling = L - exceptional_block(n, "p") * Fraction(1, n)
+    assert reference_act_once(n, cancelling, 1) == L * Fraction(1, n)
+    cases = [(cancelling, 1), (L, 1), (L, -1), (exceptional_block(n, "p"), 1), (exceptional_block(n, "q"), -1)]
+    cases += [(_random_domain_class(rng, n), 1) for _ in range(20)]
+    cases += [(_mirror_domain_class(rng, n), -1) for _ in range(20)]
+    for c, sign in cases:
+        assert _same_class_and_order(action._act_once(n, c, sign), reference_act_once(n, c, sign))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_axis_classes_and_powers_match_reference(n):
+    for depth in (1, 2, 7, 30):
+        ax = axis_classes(n, depth)
+        for ours, ref in zip((ax.b_plus, ax.b_minus, ax.r, ax.w_scaled), reference_axis_series(n, depth)):
+            assert _same_class_and_order(ours, ref)
+        orbit = ax.w_orbit(3)
+        for power in (1, 2, 3, -1, -2, -3):
+            expected = reference_henon_act(n, ax.w_scaled, power)
+            assert _same_class_and_order(henon_act(n, ax.w_scaled, power), expected)
+            assert _same_class_and_order(orbit[power], expected)
+        assert sorted(orbit) == list(range(-3, 4)) and orbit[0] is ax.w_scaled
+
+
+def test_act_once_domain_errors_kept():
+    anon = L + exceptional(anon_label(0))
+    wrong_n = L + exceptional(q_label(4, 3))
+    lone_low = exceptional(p_label(1, 2)) * 2
+    for c in (anon, wrong_n, lone_low):
+        with pytest.raises(ActionDomainError):
+            action._act_once(2, c, 1)
+        with pytest.raises(ActionDomainError):
+            reference_act_once(2, c, 1)
+    with pytest.raises(ActionDomainError, match="outside the n=2 action"):
+        henon_act(2, anon, 1)
+    with pytest.raises(ActionDomainError, match="outside the n=2 action"):
+        henon_act(2, wrong_n, -1)
+    with pytest.raises(ActionDomainError, match="non-aggregate"):
+        henon_act(2, lone_low, 1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpdcert import _bruteforce, certifier
+from wpdcert import _bruteforce, action, certifier
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
     ParameterError,
@@ -22,6 +22,7 @@ from wpdcert.certifier import (
     fix_set_symbolic,
     worst_case_intersection,
 )
+from wpdcert.lattice import PMClass
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,14 +93,18 @@ def test_worst_case_n2_value_and_validation():
 def test_worst_case_matches_exhaustive_assignment():
     # independent oracle: try every injective assignment of the multiplicities
     # to coefficients of r and take the true minimum of the pairing
+    # (the coefficients are scaled to integers over their common denominator,
+    # so each of the ~1M sums is an integer sum; the minimum is divided once)
     axis = axis_classes(2, 2)
     coeffs = list(axis.r.exc.values())
+    common = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (common // c.denominator) for c in coeffs]
     for deg, mults in ((2, (1, 1, 1)), (3, (2, 1, 1, 1, 1))):
         best = min(
             -sum(m * c for m, c in zip(mults, pick))
-            for pick in itertools.permutations(coeffs, len(mults))
+            for pick in itertools.permutations(scaled, len(mults))
         )
-        assert worst_case_intersection(2, deg, axis) == best
+        assert worst_case_intersection(2, deg, axis) == Fraction(best, common)
 
 
 def test_exclusion_checks():
@@ -173,12 +178,43 @@ def test_kernel_matches_per_candidate_reference(n, p):
 
 
 def test_monotonicity_check():
-    for n in (2, 3):
+    # for n = 4 and 6..10, a deviation taken as acosh(B(x, y)) with B ~ 1
+    # exceeds the tolerance by rounding alone
+    for n in range(2, 11):
         result = fix_monotonicity_check(axis_classes(n, 20))
         assert result["ok"] and result["ordered"]
         assert result["max_deviation"] <= result["tolerance"]
     shallow = fix_monotonicity_check(axis_classes(2, 4))
     assert shallow["ok"]
+
+
+@pytest.mark.parametrize("depth", [20, 250])
+def test_monotonicity_verdict_independent_of_summation_order(depth):
+    # the same exact classes with every exc dict reversed: float sums run in
+    # the other order, which must not move a deviation near its tolerance
+    axis = axis_classes(3, depth)
+    orbit = axis.w_orbit(2)
+    reversed_orbit = {k: PMClass(c.ell, list(c.exc.items())[::-1]) for k, c in orbit.items()}
+    assert reversed_orbit == orbit
+    forward = fix_monotonicity_check(axis, orbit)
+    backward = fix_monotonicity_check(axis, reversed_orbit)
+    assert forward["ok"] and backward["ok"]
+    assert forward["max_deviation"] < 1e-9 and backward["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
+def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
+    # 2*depth steps build the axis truncation, 4 walk h^k(w) for k = -2..2
+    steps = []
+    real = action._act_once
+
+    def counted(*args):
+        steps.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(action, "_act_once", counted)
+    assert certify(n, depth).passed
+    assert len(steps) == 2 * depth + 4
 
 
 def test_certify_smallest_prime_case():
