@@ -17,7 +17,6 @@ from .certifier import (
     certify,
     degree_bound,
     epsilon_window,
-    exclusion_check,
     fix_set_bruteforce,
     fix_set_symbolic,
     kernel_name,

@@ -16,7 +16,7 @@ quantities are rational and stated tolerances elsewhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +26,7 @@ from .fields import PrimeField
 from .hyperbolic import as_vector, chord_distance, distance, geodesic_points
 from .lattice import PMClass, intersect
 from .polymaps import PolyMap, affine_map
+from .report import fix_map_json, to_json
 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
@@ -152,10 +153,6 @@ def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
     }
 
 
-def exclusion_check(n: int, deg: int, eps: float, axis: AxisData) -> bool:
-    return exclusion_data(n, deg, eps, axis)["ok"]
-
-
 # ---------------------------------------------------------------------------
 # Fix sets
 
@@ -272,32 +269,46 @@ def fix_monotonicity_check(axis: AxisData, orbit: Optional[Dict[int, PMClass]] =
 
 @dataclass
 class CertReport:
-    """Aggregated result of the certification pipeline; see to_json_dict."""
+    """Result of the certification pipeline.
+
+    ``sections`` holds the report body in report order with raw values; each
+    check carries its own ``ok``, and ``verdicts`` is read from those same
+    booleans.  ``fix_symbolic`` and ``fix_bruteforce`` keep the map objects.
+    """
 
     n: int
     depth: int
     prime: Optional[int]
-    star: StarWindow
-    degree_bound_value: float
-    axis_facts: dict
-    worst_case: dict
-    projection: dict
-    translation: dict
-    monotonicity: dict
+    sections: dict
+    verdicts: dict
     fix_symbolic: list
     fix_bruteforce: Optional[List[PolyMap]]
-    oracle_count: Optional[int]
-    kernel: Optional[str]
-    verdicts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_json_dict(self) -> dict:
-        from .report import cert_report_json  # local import to keep layering flat
+    @property
+    def axis_facts(self) -> dict:
+        return self.sections["axis"]
 
-        return cert_report_json(self)
+    @property
+    def worst_case(self) -> dict:
+        """Degree (2 or 3) -> its exclusion data."""
+        wci = self.sections["worst_case_intersection"]
+        return {2: wci["deg2"], 3: wci["deg3"]}
+
+    def to_json_dict(self) -> dict:
+        return to_json(
+            {
+                "n": self.n,
+                "depth": self.depth,
+                "field": "Q" if self.prime is None else f"Fp:{self.prime}",
+                **self.sections,
+                "verdicts": self.verdicts,
+                "passed": self.passed,
+            }
+        )
 
 
 def certify(
@@ -313,7 +324,7 @@ def certify(
         raise ParameterError("need an integer truncation depth >= 2")
     m = n * n - 1
     if p is not None:
-        field = PrimeField(p)  # raises on non-primes
+        PrimeField(p)  # raises on non-primes
         if n % p == 0:
             raise ParameterError("characteristic divides n")
         if (p - 1) % m != 0:
@@ -323,10 +334,18 @@ def certify(
             )
 
     star = epsilon_window(n, eps)
+    checks = star.checks()
+    star_window = {
+        "eps_max": star.eps_max,
+        "chosen_eps": star.chosen_eps,
+        "checks": checks,
+        "ok": all(c["ok"] for c in checks.values()),
+    }
     dbound = degree_bound(n, star.chosen_eps)
+    degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
+
     axis = axis_classes(n, depth)
     w_norm_sq = axis.w_norm_sq()
-
     tail_exp = Fraction(1, n ** (2 * depth + 2))
     axis_facts = {
         "tail_norm_sq": axis.tail_norm_sq,
@@ -338,21 +357,15 @@ def certify(
         "expected_b_self": tail_exp,
         "expected_w_norm_sq": 1 + tail_exp,
     }
-    axis_ok = (
+    axis_facts["ok"] = (
         axis_facts["b_cross"] == 1
-        and axis_facts["b_plus_self"] == tail_exp
-        and axis_facts["b_minus_self"] == tail_exp
-        and axis_facts["w_norm_sq"] == 1 + tail_exp
+        and axis_facts["b_plus_self"] == axis_facts["b_minus_self"] == tail_exp
+        and w_norm_sq == 1 + tail_exp
     )
 
-    worst_case = {
-        2: exclusion_data(n, 2, star.chosen_eps, axis),
-        3: exclusion_data(n, 3, star.chosen_eps, axis),
-    }
-    wci_ok = (
-        worst_case[3]["worst_case"] == -3
-        and worst_case[2]["worst_case"] == Fraction(-2) + Fraction(1, n)
-    )
+    deg2 = exclusion_data(n, 2, star.chosen_eps, axis)
+    deg3 = exclusion_data(n, 3, star.chosen_eps, axis)
+    wci_ok = deg3["worst_case"] == -3 and deg2["worst_case"] == Fraction(-2) + Fraction(1, n)
 
     # distance from l to the normalized truncated projection point
     proj_cosh = SQRT2 / math.sqrt(float(w_norm_sq))
@@ -381,45 +394,39 @@ def certify(
     monotonicity = fix_monotonicity_check(axis, orbit)
 
     fix_sym = fix_set_symbolic(n, p)
-    fix_bf = None
-    oracle_count = None
-    kernel = None
-    match_ok = True
-    if p is not None:
-        fix_bf = fix_set_bruteforce(n, p)
-        oracle_count = p * p * (p - 1) * (p - 1)
-        kernel = kernel_name()
-        match_ok = _as_tuples(fix_bf) == _as_tuples(fix_sym)
-    cardinality_ok = len(fix_sym) == m
+    fix_bf = None if p is None else fix_set_bruteforce(n, p)
+    fix_set = {
+        "expected_cardinality": m,
+        "cardinality": len(fix_sym),
+        "cardinality_ok": len(fix_sym) == m,
+        "symbolic": [fix_map_json(f) for f in fix_sym],
+        "bruteforce": None if fix_bf is None else [fix_map_json(f) for f in fix_bf],
+        "oracle_count": None if p is None else p * p * (p - 1) * (p - 1),
+        "kernel": None if p is None else kernel_name(),
+        "oracle_match_ok": fix_bf is None or _as_tuples(fix_bf) == _as_tuples(fix_sym),
+    }
 
+    sections = {
+        "star_window": star_window,
+        "degree_bound": degree,
+        "axis": axis_facts,
+        "worst_case_intersection": {"deg2": deg2, "deg3": deg3},
+        "projection": projection,
+        "translation": translation,
+        "monotonicity": monotonicity,
+        "fix_set": fix_set,
+    }
     verdicts = {
-        "star_window_ok": star.all_ok(),
-        "degree_bound_ok": dbound < 4.0,
-        "axis_normalization_ok": axis_ok,
+        "star_window_ok": star_window["ok"],
+        "degree_bound_ok": degree["ok"],
+        "axis_normalization_ok": axis_facts["ok"],
         "worst_case_exact_ok": wci_ok,
-        "exclusion_deg2_ok": worst_case[2]["ok"],
-        "exclusion_deg3_ok": worst_case[3]["ok"],
+        "exclusion_deg2_ok": deg2["ok"],
+        "exclusion_deg3_ok": deg3["ok"],
         "projection_ok": projection["ok"],
         "translation_ok": translation["ok"],
         "monotonicity_ok": monotonicity["ok"],
-        "fix_cardinality_ok": cardinality_ok,
-        "oracle_match_ok": match_ok,
+        "fix_cardinality_ok": fix_set["cardinality_ok"],
+        "oracle_match_ok": fix_set["oracle_match_ok"],
     }
-
-    return CertReport(
-        n=n,
-        depth=depth,
-        prime=p,
-        star=star,
-        degree_bound_value=dbound,
-        axis_facts=axis_facts,
-        worst_case=worst_case,
-        projection=projection,
-        translation=translation,
-        monotonicity=monotonicity,
-        fix_symbolic=fix_sym,
-        fix_bruteforce=fix_bf,
-        oracle_count=oracle_count,
-        kernel=kernel,
-        verdicts=verdicts,
-    )
+    return CertReport(n, depth, p, sections, verdicts, fix_sym, fix_bf)

@@ -1,9 +1,11 @@
 """Command-line front end: certification pipeline, axis/orbit tables, geometry queries.
 
-Exit codes: 0 when every verdict in the output passes (or the command is a
-pure query), 1 when a verdict fails, 2 on invalid parameters.  JSON is the
-canonical format; CSV flattens the tabular sections.  Reals are printed with
-12 significant digits, rationals exactly, so output is byte-stable.
+Exit codes: 0 when the command's verdict passes (or the command is a pure
+query), 1 when it fails, 2 on invalid parameters or an unwritable --output.
+The verdict is ``passed`` for certify, ``match`` for oracle and ``traverses``
+for a tube traversal.  JSON is the canonical format; CSV flattens the tabular
+sections.  Reals are printed with 12 significant digits, rationals exactly,
+so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -19,41 +21,34 @@ from fractions import Fraction
 from . import certifier, hyperbolic, report
 from .action import axis_classes, orbit_label
 from .certifier import ParameterError
-from .lattice import PointLabel, line_class, parse_label, to_json_dict
+from .lattice import PointLabel, intersect, line_class, parse_label
 
 
-def _gather_verdicts(obj) -> list:
-    found = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if key in ("ok", "passed", "match", "traverses") and isinstance(value, bool):
-                found.append(value)
-            else:
-                found.extend(_gather_verdicts(value))
-    elif isinstance(obj, list):
-        for item in obj:
-            found.extend(_gather_verdicts(item))
-    return found
+def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
+    """Write the formatted payload as JSON or CSV to --output or stdout.
 
-
-def _emit(payload: dict, rows, args) -> int:
-    """Render JSON or CSV, write to --output or stdout, derive the exit code."""
+    ``rows`` is the CSV (header, data), by default the payload flattened to
+    key/value pairs.  ``passed`` is the command's verdict (queries pass):
+    exit 0 if it holds, 1 if not.
+    """
     if args.format == "csv":
+        header, data = rows or (("key", "value"), _kv_rows(payload))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header, data = rows
         writer.writerow(header)
         writer.writerows(data)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
-    verdicts = _gather_verdicts(payload)
-    return 0 if all(verdicts) else 1
+    return 0 if passed else 1
 
 
 def _kv_rows(payload: dict, prefix=""):
@@ -69,43 +64,47 @@ def _kv_rows(payload: dict, prefix=""):
     return rows
 
 
+def _fix_rows(symbolic, bruteforce):
+    """CSV rows (source, a, b, c, d) of formatted Fix-set maps."""
+    rows = []
+    for source, maps in (("symbolic", symbolic), ("bruteforce", bruteforce or [])):
+        for e in maps:
+            if "a" in e:
+                rows.append((source, e["a"], e["b"], e["c"], e["d"]))
+            else:
+                rows.append((source, e["a_exponent"], "", e["c_exponent"], ""))
+    return (("source", "a", "b", "c", "d"), rows)
+
+
 def _cmd_certify(args) -> int:
     rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps)
     payload = rep.to_json_dict()
-    rows_data = []
-    for source, maps in (("symbolic", rep.fix_symbolic), ("bruteforce", rep.fix_bruteforce or [])):
-        for f in maps:
-            entry = report.fix_map_json(f)
-            if "a" in entry:
-                rows_data.append((source, entry["a"], entry["b"], entry["c"], entry["d"]))
-            else:
-                rows_data.append((source, entry["a_exponent"], "", entry["c_exponent"], ""))
-    rows = (("source", "a", "b", "c", "d"), rows_data)
-    return _emit(payload, rows, args)
+    rows = _fix_rows(payload["fix_set"]["symbolic"], payload["fix_set"]["bruteforce"])
+    return _emit(payload, args, rows, rep.passed)
 
 
 def _cmd_axis(args) -> int:
     axis = axis_classes(args.n, args.depth)
-    from .lattice import intersect
-
-    payload = {
-        "n": axis.n,
-        "depth": axis.depth,
-        "tail_norm_sq": report.fmt_rational(axis.tail_norm_sq),
-        "b_plus_dot_b_minus": report.fmt_rational(intersect(axis.b_plus, axis.b_minus)),
-        "b_plus_self": report.fmt_rational(intersect(axis.b_plus, axis.b_plus)),
-        "w_norm_sq": report.fmt_rational(axis.w_norm_sq()),
-        "b_plus": to_json_dict(axis.b_plus),
-        "b_minus": to_json_dict(axis.b_minus),
-        "r": to_json_dict(axis.r),
-        "w_scaled": to_json_dict(axis.w_scaled),
-    }
+    payload = report.to_json(
+        {
+            "n": axis.n,
+            "depth": axis.depth,
+            "tail_norm_sq": axis.tail_norm_sq,
+            "b_plus_dot_b_minus": intersect(axis.b_plus, axis.b_minus),
+            "b_plus_self": intersect(axis.b_plus, axis.b_plus),
+            "w_norm_sq": axis.w_norm_sq(),
+            "b_plus": axis.b_plus,
+            "b_minus": axis.b_minus,
+            "r": axis.r,
+            "w_scaled": axis.w_scaled,
+        }
+    )
     rows_data = []
     for name in ("b_plus", "b_minus", "r", "w_scaled"):
         cls = payload[name]
         rows_data.append((name, "l", cls["ell"]))
         rows_data.extend((name, e["label"], e["coeff"]) for e in cls["exc"])
-    return _emit(payload, (("class", "label", "coeff"), rows_data), args)
+    return _emit(payload, args, (("class", "label", "coeff"), rows_data))
 
 
 def _parse_orbit_label(text: str, n: int) -> PointLabel:
@@ -116,6 +115,8 @@ def _parse_orbit_label(text: str, n: int) -> PointLabel:
 
 
 def _cmd_orbit(args) -> int:
+    if args.iters < 1:
+        raise ParameterError("need --iters >= 1")
     label = _parse_orbit_label(args.label, args.n)
     direction = 1 if label.family == "q" else -1
     entries = []
@@ -124,31 +125,34 @@ def _cmd_orbit(args) -> int:
         entries.append({"power": direction * i, "label": str(image), "index": image.index})
     payload = {"n": args.n, "start": str(label), "orbit": entries}
     rows = (("power", "label", "index"), [(e["power"], e["label"], e["index"]) for e in entries])
-    return _emit(payload, rows, args)
+    return _emit(payload, args, rows)
 
 
 def _cmd_geodesic(args) -> int:
     axis = axis_classes(args.n, args.depth)
     w_norm_sq = axis.w_norm_sq()
     cosh_sq = Fraction(2) / w_norm_sq
-    dist = math.acosh(math.sqrt(float(cosh_sq)))
     payload = {
         "n": args.n,
         "depth": args.depth,
-        "distance_l_to_axis": report.fmt_real(dist),
-        "expected": report.fmt_real(certifier.ACOSH_SQRT2),
-        "cosh_sq_exact": report.fmt_rational(cosh_sq),
+        "distance_l_to_axis": math.acosh(math.sqrt(float(cosh_sq))),
+        "expected": certifier.ACOSH_SQRT2,
+        "cosh_sq_exact": cosh_sq,
     }
     if args.t is not None:
         ell = hyperbolic.as_vector(line_class())
         w_hat = hyperbolic.as_vector(axis.w_scaled) * (1.0 / math.sqrt(float(w_norm_sq) * 2.0))
         point = hyperbolic.geodesic_point(ell, w_hat, args.t)
         payload["point_at_t"] = {
-            "t": report.fmt_real(args.t),
-            "distance_from_l": report.fmt_real(hyperbolic.distance(ell, point)),
-            "unit_norm_error": report.fmt_real(abs(hyperbolic.mdot(point, point) - 1.0)),
+            "t": args.t,
+            "distance_from_l": hyperbolic.distance(ell, point),
+            "unit_norm_error": abs(hyperbolic.mdot(point, point) - 1.0),
         }
-    return _emit(payload, (("key", "value"), _kv_rows(payload)), args)
+    return _emit(report.to_json(payload), args)
+
+
+def _tube_json(t: hyperbolic.Tube) -> dict:
+    return {"lo": t.lo, "hi": t.hi, "end_radius": t.end_radius}
 
 
 def _cmd_tube(args) -> int:
@@ -163,32 +167,26 @@ def _cmd_tube(args) -> int:
         payload = {
             "exponents": {"N": n_exp, "M": m_exp},
             "outer": {
-                "lo": report.fmt_real(args.w - n_exp * args.length + args.eps),
-                "hi": report.fmt_real(args.w + m_exp * args.length - args.eps),
-                "end_radius": report.fmt_real(args.eps),
+                "lo": args.w - n_exp * args.length + args.eps,
+                "hi": args.w + m_exp * args.length - args.eps,
+                "end_radius": args.eps,
             },
+            # informational: wpd_exponents raises rather than return unverified exponents
             "verified": True,
         }
-        return _emit(payload, (("key", "value"), _kv_rows(payload)), args)
+        return _emit(report.to_json(payload), args)
     if None in (args.lo, args.hi, args.radius):
         raise ParameterError("tube queries need --lo --hi --radius")
     outer = hyperbolic.Tube(args.lo, args.hi, args.radius)
     if args.z is not None:
-        payload = {
-            "tube": {"lo": report.fmt_real(outer.lo), "hi": report.fmt_real(outer.hi), "end_radius": report.fmt_real(outer.end_radius)},
-            "z": report.fmt_real(args.z),
-            "radius": report.fmt_real(hyperbolic.tube_radius(outer, args.z)),
-        }
-        return _emit(payload, (("key", "value"), _kv_rows(payload)), args)
+        payload = {"tube": _tube_json(outer), "z": args.z, "radius": hyperbolic.tube_radius(outer, args.z)}
+        return _emit(report.to_json(payload), args)
     if None in (args.inner_hi, args.inner_radius):
         raise ParameterError("traversal queries need --inner-lo --inner-hi --inner-radius")
     inner = hyperbolic.Tube(args.inner_lo, args.inner_hi, args.inner_radius)
-    payload = {
-        "outer": {"lo": report.fmt_real(outer.lo), "hi": report.fmt_real(outer.hi), "end_radius": report.fmt_real(outer.end_radius)},
-        "inner": {"lo": report.fmt_real(inner.lo), "hi": report.fmt_real(inner.hi), "end_radius": report.fmt_real(inner.end_radius)},
-        "traverses": hyperbolic.tube_traverses(outer, inner),
-    }
-    return _emit(payload, (("key", "value"), _kv_rows(payload)), args)
+    traverses = hyperbolic.tube_traverses(outer, inner)
+    payload = {"outer": _tube_json(outer), "inner": _tube_json(inner), "traverses": traverses}
+    return _emit(report.to_json(payload), args, passed=traverses)
 
 
 def _cmd_oracle(args) -> int:
@@ -205,12 +203,7 @@ def _cmd_oracle(args) -> int:
         "bruteforce": [report.fix_map_json(f) for f in brute],
         "match": match,
     }
-    rows_data = [
-        (source, e["a"], e["b"], e["c"], e["d"])
-        for source, maps in (("symbolic", payload["symbolic"]), ("bruteforce", payload["bruteforce"]))
-        for e in maps
-    ]
-    return _emit(payload, (("source", "a", "b", "c", "d"), rows_data), args)
+    return _emit(payload, args, _fix_rows(payload["symbolic"], payload["bruteforce"]), match)
 
 
 def build_parser() -> argparse.ArgumentParser:

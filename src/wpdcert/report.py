@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .lattice import PMClass, to_json_dict
 from .polymaps import PolyMap, serialize_map
 
 
@@ -19,18 +20,20 @@ def fmt_rational(x) -> str:
     return str(Fraction(x))
 
 
-def _fmt_value(v):
-    if isinstance(v, bool):
-        return v
+def to_json(v):
+    """JSON form of a raw report value: dicts and lists recursively, reals and
+    rationals as strings, classes as `lattice.to_json_dict`; anything else as is."""
+    if isinstance(v, dict):
+        return {k: to_json(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [to_json(x) for x in v]
     if isinstance(v, Fraction):
         return fmt_rational(v)
     if isinstance(v, float):
         return fmt_real(v)
+    if isinstance(v, PMClass):
+        return to_json_dict(v)
     return v
-
-
-def _fmt_dict(d: dict) -> dict:
-    return {k: _fmt_value(v) for k, v in d.items()}
 
 
 def fix_map_json(f) -> dict:
@@ -51,45 +54,3 @@ def fix_map_json(f) -> dict:
         "a_exponent": f.a_exp,
         "c_exponent": f.c_exp,
     }
-
-
-def cert_report_json(report) -> dict:
-    star = report.star
-    out = {
-        "n": report.n,
-        "depth": report.depth,
-        "field": "Q" if report.prime is None else f"Fp:{report.prime}",
-        "star_window": {
-            "eps_max": fmt_real(star.eps_max),
-            "chosen_eps": fmt_real(star.chosen_eps),
-            "checks": {name: _fmt_dict(c) for name, c in star.checks().items()},
-            "ok": star.all_ok(),
-        },
-        "degree_bound": {
-            "value": fmt_real(report.degree_bound_value),
-            "limit": "4",
-            "ok": report.verdicts["degree_bound_ok"],
-        },
-        "axis": _fmt_dict(report.axis_facts) | {"ok": report.verdicts["axis_normalization_ok"]},
-        "worst_case_intersection": {
-            f"deg{deg}": _fmt_dict(report.worst_case[deg]) for deg in (2, 3)
-        },
-        "projection": _fmt_dict(report.projection),
-        "translation": _fmt_dict(report.translation),
-        "monotonicity": _fmt_dict(report.monotonicity),
-        "fix_set": {
-            "expected_cardinality": report.n * report.n - 1,
-            "cardinality": len(report.fix_symbolic),
-            "cardinality_ok": report.verdicts["fix_cardinality_ok"],
-            "symbolic": [fix_map_json(f) for f in report.fix_symbolic],
-            "bruteforce": None
-            if report.fix_bruteforce is None
-            else [fix_map_json(f) for f in report.fix_bruteforce],
-            "oracle_count": report.oracle_count,
-            "kernel": report.kernel,
-            "oracle_match_ok": report.verdicts["oracle_match_ok"],
-        },
-        "verdicts": dict(report.verdicts),
-        "passed": report.passed,
-    }
-    return out

@@ -15,7 +15,6 @@ from wpdcert.certifier import (
     certify,
     degree_bound,
     epsilon_window,
-    exclusion_check,
     exclusion_data,
     fix_monotonicity_check,
     fix_set_bruteforce,
@@ -119,9 +118,9 @@ def test_exclusion_checks():
         # equality boundary of the window: bound == threshold
         assert abs(data2["bound"] - data2["threshold"]) < 1e-9
         assert data2["ok"]
-        assert exclusion_check(n, 2, eps * 0.9, axis)
+        assert exclusion_data(n, 2, eps * 0.9, axis)["ok"]
         # just past the window the degree-2 exclusion fails
-        assert not exclusion_check(n, 2, eps + 1e-3, axis)
+        assert not exclusion_data(n, 2, eps + 1e-3, axis)["ok"]
 
 
 def test_fix_set_symbolic_prime_fields():
@@ -221,8 +220,8 @@ def test_certify_smallest_prime_case():
     rep = certify(2, 20, 7)
     assert rep.passed
     assert len(rep.fix_symbolic) == 3 == len(rep.fix_bruteforce)
-    assert rep.oracle_count == 7 * 7 * 6 * 6
     data = rep.to_json_dict()
+    assert data["fix_set"]["oracle_count"] == 7 * 7 * 6 * 6
     assert data["passed"] is True
     assert data["fix_set"]["cardinality"] == 3
     assert data["worst_case_intersection"]["deg2"]["worst_case"] == "-3/2"
@@ -256,3 +255,24 @@ def test_report_is_deterministic():
     a = json.dumps(certify(2, 8, 7).to_json_dict(), indent=2)
     b = json.dumps(certify(2, 8, 7).to_json_dict(), indent=2)
     assert a == b
+
+
+def test_section_oks_are_the_verdicts():
+    for rep in (certify(2, 8, 7), certify(3, 12)):
+        data = rep.to_json_dict()
+        assert rep.passed is data["passed"] is all(data["verdicts"].values()) is True
+        assert data["verdicts"] == rep.verdicts
+        section_oks = {
+            "star_window_ok": data["star_window"]["ok"],
+            "degree_bound_ok": data["degree_bound"]["ok"],
+            "axis_normalization_ok": data["axis"]["ok"],
+            "exclusion_deg2_ok": data["worst_case_intersection"]["deg2"]["ok"],
+            "exclusion_deg3_ok": data["worst_case_intersection"]["deg3"]["ok"],
+            "projection_ok": data["projection"]["ok"],
+            "translation_ok": data["translation"]["ok"],
+            "monotonicity_ok": data["monotonicity"]["ok"],
+            "fix_cardinality_ok": data["fix_set"]["cardinality_ok"],
+            "oracle_match_ok": data["fix_set"]["oracle_match_ok"],
+        }
+        assert section_oks == {k: v for k, v in rep.verdicts.items() if k != "worst_case_exact_ok"}
+        assert data["star_window"]["ok"] is all(c["ok"] for c in data["star_window"]["checks"].values())

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wpdcert import certifier
 from wpdcert.cli import main
 
 
@@ -140,3 +141,40 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "axis", "--n", "2", "--depth", "3", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 2
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "certify", "--n", "2", "--depth", "3", "--output", str(target))
+    assert code == 2 and out == ""
+    assert "cannot write --output" in json.loads(err)["error"]
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_orbit_needs_positive_iters(capsys, iters):
+    code, out, err = run_cli(capsys, "orbit", "--n", "3", "--label", "q0", "--iters", iters)
+    assert code == 2 and out == ""
+    assert "--iters" in json.loads(err)["error"]
+
+
+def test_failed_monotonicity_exits_1(monkeypatch, capsys):
+    real = certifier.fix_monotonicity_check
+    monkeypatch.setattr(certifier, "fix_monotonicity_check", lambda *a: real(*a) | {"ok": False})
+    code, out, err = run_cli(capsys, "certify", "--n", "2", "--depth", "8", "--prime", "7")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert data["verdicts"]["monotonicity_ok"] is False
+    assert data["monotonicity"]["ok"] is False
+    assert all(v for k, v in data["verdicts"].items() if k != "monotonicity_ok")
+
+
+def test_oracle_mismatch_exits_1(monkeypatch, capsys):
+    real = certifier.fix_set_bruteforce
+    monkeypatch.setattr(certifier, "fix_set_bruteforce", lambda n, p: real(n, p)[:-1])
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--prime", "7")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["match"] is False
+    assert data["cardinality"] == 2

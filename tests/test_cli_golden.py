@@ -1,0 +1,50 @@
+"""Golden bytes: the sha256 of stdout and the exit code of canonical commands.
+
+The hashes pin the reports byte for byte, so a refactor of the report or the
+CLI that changes a single character fails here rather than in a hand diff.
+Regenerate a hash only when a report is meant to change, and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from wpdcert.cli import main
+
+GOLDEN = [
+    ("certify --n 2 --depth 8 --prime 7", 0, "5f417708908b39441cc46e6748dbbef4df33741c1fa067a306f6a146e9228976"),
+    ("certify --n 2 --depth 8 --prime 7 --format csv", 0, "dc3ee8af11e7ed4da7cecf803d301bf508f7c7972dfadb3a6cdc0d25f5fd24d8"),
+    ("certify --n 3 --depth 12", 0, "6e8c82cfc15463c98f35445680d580f212241700ac2cf0ea0af9d8543cf1104f"),
+    ("certify --n 2 --depth 8 --eps 0.2", 0, "0c57e23c258a13c15236534cfe743d62d50fcc35acc56faa6cade4c8f886d81b"),
+    ("axis --n 2 --depth 4", 0, "f2dbdfb266eeabc7c122ee546a08933ab3155049713930d212b9b57a0cd72082"),
+    ("axis --n 2 --depth 4 --format csv", 0, "868e4ab98e66cf468c3f354ad0a88238c51304608197c10683414c3774c09e34"),
+    ("orbit --n 3 --label q0 --iters 4", 0, "2fcc2e12c6ae186204ededc7c813d93c771c3bc5e747fbbb0eca0673c38b178e"),
+    ("geodesic --n 2 --depth 20 --t 0.4", 0, "c8779d67b1bc2c9d9a9cce6cf4fd1febde2dd1829f73d06ba48d5169c1cb15ef"),
+    ("geodesic --n 2 --depth 20 --t 0.4 --format csv", 0, "305c8ace02d15d3709534336053515d811b511d2ec597a8b81899ab3654e0f01"),
+    ("tube --lo 0 --hi 2 --radius 0.4 --z 1.0", 0, "d580675ba0af65801e8f3508364959e0cf6f47a893e086c6bce0e7e15ccd6c20"),
+    (
+        "tube --lo -1 --hi 3 --radius 0.3 --inner-lo 0 --inner-hi 2 --inner-radius 0.3",
+        0,
+        "49c32f57722728a90bbc0f25bf6e23ce61600e8c03ee20b92c46f805dfce7d03",
+    ),
+    (
+        "tube --exponents --eps 0.1 --eta 0.15 --length 0.693 --zlo -1 --zhi 1 --w 0",
+        0,
+        "8f266270e8217a3a3470028113a62211de8ee1be226025edca2c82446a646278",
+    ),
+    (
+        "tube --lo -0.1 --hi 2.1 --radius 1.5 --inner-lo 0 --inner-hi 2 --inner-radius 0.05",
+        1,
+        "c07ef9f913cc74e11dfe4af19e758abf29bda44a15b7339a42a66534544e52f4",
+    ),
+    ("oracle --n 2 --prime 7", 0, "925b7868d5be4ff5a1a8d49b6b8e58038fb70aed74857d532531bca97a9796dd"),
+    ("oracle --n 2 --prime 7 --format csv", 0, "dc3ee8af11e7ed4da7cecf803d301bf508f7c7972dfadb3a6cdc0d25f5fd24d8"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_and_exit_code_are_pinned(capsys, command, code, digest):
+    assert main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
