@@ -60,7 +60,6 @@ from .polymaps import (
     henon_map,
     identity_map,
     jonquieres_involution,
-    poly_map,
     translation,
 )
 

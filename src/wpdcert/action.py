@@ -139,7 +139,8 @@ class AxisData:
     truncation of the combined orbit series, and w_scaled the projection of l
     onto the axis times sqrt(2): w_scaled = 2*l - r, so that every stored
     coefficient stays rational.  Intersections of true axis classes follow by
-    scaling:  w.w = (w_scaled.w_scaled)/2,  w.l = (w_scaled.l)/sqrt(2).
+    scaling:  w.w = (w_scaled.w_scaled)/2,  w.l = (w_scaled.l)/sqrt(2); the
+    exact w.w is paired once and kept as w_norm_sq.
     tail_norm_sq = 2*n^(-2*depth-2) bounds the discarded tail of r exactly.
     """
 
@@ -149,25 +150,14 @@ class AxisData:
     b_minus: PMClass
     r: PMClass
     w_scaled: PMClass
+    w_norm_sq: Fraction
     tail_norm_sq: Fraction
-
-    def w_norm_sq(self) -> Fraction:
-        """Exact w.w of the truncated, sqrt(2)-normalized projection point."""
-        return intersect(self.w_scaled, self.w_scaled) / 2
-
-    def w_dot(self, c: PMClass) -> float:
-        """Numeric w.c (the 1/sqrt(2) scale applied)."""
-        return float(intersect(self.w_scaled, c)) / 2 ** 0.5
-
-    def translate_w(self, power: int) -> PMClass:
-        """Image of w_scaled under a signed power of the shift map."""
-        return henon_act(self.n, self.w_scaled, power) if power else self.w_scaled
 
     def w_orbit(self, reach: int) -> Dict[int, PMClass]:
         """h^k(w_scaled) for k = -reach..reach, walked outward one step at a time.
 
-        2*reach shift-map steps in all, where translate_w(k) for each k
-        separately would take reach*(reach+1).
+        2*reach shift-map steps in all, where henon_act(n, w_scaled, k) for
+        each k separately would take reach*(reach+1).
         """
         orbit = {0: self.w_scaled}
         for sign in (1, -1):
@@ -207,12 +197,14 @@ def axis_classes(n: int, depth: int) -> AxisData:
             fwd = henon_act(n, fwd, 1)
             bwd = henon_act(n, bwd, -1)
     r = PMClass.from_canonical(Fraction(0), r)
+    w_scaled = line_class() * 2 - r
     return AxisData(
         n,
         depth,
         PMClass.from_canonical(Fraction(1), b_plus),
         PMClass.from_canonical(Fraction(1), b_minus),
         r,
-        line_class() * 2 - r,
+        w_scaled,
+        intersect(w_scaled, w_scaled) / 2,
         Fraction(2, n ** (2 * depth + 2)),
     )

@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from . import _bruteforce
 from .action import AxisData, axis_classes
 from .fields import PrimeField
 from .hyperbolic import as_vector, chord_distance, distance, geodesic_points
 from .lattice import PMClass, intersect
-from .polymaps import PolyMap, affine_map
-from .report import fix_map_json, to_json
+from .polymaps import PolyMap, RootExponentMap, affine_map
+from .report import to_json
 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
@@ -157,21 +157,17 @@ def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
 # Fix sets
 
 
-@dataclass(frozen=True, order=True)
-class RootExponentMap:
-    """Diagonal map (zeta^a_exp x, zeta^c_exp y), zeta a primitive root of unity.
+def _fix_field(n: int, p: int) -> PrimeField:
+    """F_p for a Fix set over n: p must be prime and must not divide n."""
+    field = PrimeField(p)  # raises on non-primes
+    if n % p == 0:
+        raise ParameterError("characteristic divides n")
+    return field
 
-    Symbolic form of a Fix-set element over Q, where the roots of unity are
-    not rational; modulus is n^2 - 1 and c_exp = n * a_exp (mod modulus).
-    """
 
-    modulus: int
-    a_exp: int
-    c_exp: int
-
-    def __str__(self):
-        m = self.modulus
-        return f"zeta{m}^{self.a_exp}*x; zeta{m}^{self.c_exp}*y"
+def oracle_count(p: int) -> int:
+    """Number of affine candidates (a x + b, c y + d), a, c != 0, over F_p: p^2 (p-1)^2."""
+    return (p * (p - 1)) ** 2
 
 
 def fix_set_symbolic(n: int, p: Optional[int] = None):
@@ -186,9 +182,7 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
     m = n * n - 1
     if p is None:
         return [RootExponentMap(m, k, n * k % m) for k in range(m)]
-    field = PrimeField(p)
-    if n % p == 0:
-        raise ParameterError("characteristic divides n")
+    field = _fix_field(n, p)
     return [affine_map(field, a, 0, pow(a, n, p), 0) for a in field.roots_of_unity(m)]
 
 
@@ -201,27 +195,11 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     """
     if n < 2:
         raise ParameterError("need n >= 2")
-    field = PrimeField(p)  # validates primality
-    if n % p == 0:
-        raise ParameterError("characteristic divides n")
-    if p * p * (p - 1) * (p - 1) > _MAX_BRUTEFORCE_CANDIDATES:
+    field = _fix_field(n, p)
+    if oracle_count(p) > _MAX_BRUTEFORCE_CANDIDATES:
         raise ParameterError(f"brute-force search over F_{p} is infeasible")
     tuples = _bruteforce.enumerate_fix_candidates(n, p)
     return [affine_map(field, a, b, c, d) for (a, b, c, d) in sorted(tuples)]
-
-
-def _as_tuples(maps: Sequence[PolyMap]) -> List[Tuple]:
-    out = []
-    for f in maps:
-        out.append(
-            (
-                f.comp_x.coeff(1, 0),
-                f.comp_x.coeff(0, 0),
-                f.comp_y.coeff(0, 1),
-                f.comp_y.coeff(0, 0),
-            )
-        )
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +219,8 @@ def fix_monotonicity_check(axis: AxisData, orbit: Optional[Dict[int, PMClass]] =
     """
     if orbit is None:
         orbit = axis.w_orbit(2)
-    # the shift map acts isometrically, so every h^k(w) has the norm of w
-    unit = 1.0 / math.sqrt(float(intersect(axis.w_scaled, axis.w_scaled)))
+    # the shift map acts isometrically, so every h^k(w_scaled) has the norm 2 w.w
+    unit = 1.0 / math.sqrt(float(2 * axis.w_norm_sq))
     points = [as_vector(orbit[k]) * unit for k in (-2, -1, 0, 1, 2)]
     from_start = [distance(points[0], p) for p in points]
     total = from_start[-1]
@@ -324,9 +302,7 @@ def certify(
         raise ParameterError("need an integer truncation depth >= 2")
     m = n * n - 1
     if p is not None:
-        PrimeField(p)  # raises on non-primes
-        if n % p == 0:
-            raise ParameterError("characteristic divides n")
+        _fix_field(n, p)
         if (p - 1) % m != 0:
             raise ParameterError(
                 f"prime {p} has no full set of (n^2-1)-th roots of unity; "
@@ -345,7 +321,7 @@ def certify(
     degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
 
     axis = axis_classes(n, depth)
-    w_norm_sq = axis.w_norm_sq()
+    w_norm_sq = axis.w_norm_sq
     tail_exp = Fraction(1, n ** (2 * depth + 2))
     axis_facts = {
         "tail_norm_sq": axis.tail_norm_sq,
@@ -399,11 +375,11 @@ def certify(
         "expected_cardinality": m,
         "cardinality": len(fix_sym),
         "cardinality_ok": len(fix_sym) == m,
-        "symbolic": [fix_map_json(f) for f in fix_sym],
-        "bruteforce": None if fix_bf is None else [fix_map_json(f) for f in fix_bf],
-        "oracle_count": None if p is None else p * p * (p - 1) * (p - 1),
+        "symbolic": fix_sym,
+        "bruteforce": fix_bf,
+        "oracle_count": None if p is None else oracle_count(p),
         "kernel": None if p is None else kernel_name(),
-        "oracle_match_ok": fix_bf is None or _as_tuples(fix_bf) == _as_tuples(fix_sym),
+        "oracle_match_ok": fix_bf is None or fix_bf == fix_sym,
     }
 
     sections = {

@@ -92,7 +92,7 @@ def _cmd_axis(args) -> int:
             "tail_norm_sq": axis.tail_norm_sq,
             "b_plus_dot_b_minus": intersect(axis.b_plus, axis.b_minus),
             "b_plus_self": intersect(axis.b_plus, axis.b_plus),
-            "w_norm_sq": axis.w_norm_sq(),
+            "w_norm_sq": axis.w_norm_sq,
             "b_plus": axis.b_plus,
             "b_minus": axis.b_minus,
             "r": axis.r,
@@ -130,7 +130,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     axis = axis_classes(args.n, args.depth)
-    w_norm_sq = axis.w_norm_sq()
+    w_norm_sq = axis.w_norm_sq
     cosh_sq = Fraction(2) / w_norm_sq
     payload = {
         "n": args.n,
@@ -192,17 +192,19 @@ def _cmd_tube(args) -> int:
 def _cmd_oracle(args) -> int:
     symbolic = certifier.fix_set_symbolic(args.n, args.prime)
     brute = certifier.fix_set_bruteforce(args.n, args.prime)
-    match = certifier._as_tuples(symbolic) == certifier._as_tuples(brute)
-    payload = {
-        "n": args.n,
-        "prime": args.prime,
-        "kernel": certifier.kernel_name(),
-        "oracle_count": args.prime ** 2 * (args.prime - 1) ** 2,
-        "cardinality": len(brute),
-        "symbolic": [report.fix_map_json(f) for f in symbolic],
-        "bruteforce": [report.fix_map_json(f) for f in brute],
-        "match": match,
-    }
+    match = symbolic == brute
+    payload = report.to_json(
+        {
+            "n": args.n,
+            "prime": args.prime,
+            "kernel": certifier.kernel_name(),
+            "oracle_count": certifier.oracle_count(args.prime),
+            "cardinality": len(brute),
+            "symbolic": symbolic,
+            "bruteforce": brute,
+            "match": match,
+        }
+    )
     return _emit(payload, args, _fix_rows(payload["symbolic"], payload["bruteforce"]), match)
 
 
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -134,11 +134,3 @@ class PrimeField:
 
 QQ = RationalField()
 
-
-def field_from_tag(tag: str):
-    """Inverse of the ``tag`` attribute: "Q" or "Fp:<p>"."""
-    if tag == "Q":
-        return QQ
-    if tag.startswith("Fp:"):
-        return PrimeField(int(tag[3:]))
-    raise ValueError(f"unknown field tag {tag!r}")

@@ -51,18 +51,15 @@ class HVec:
         return f"HVec(ell={self.ell!r}, support={len(self.exc)})"
 
 
-VectorLike = Union[HVec, PMClass, Tuple[float, float, float]]
+VectorLike = Union[HVec, PMClass]
 
 
 def as_vector(x: VectorLike) -> HVec:
-    """Coerce a lattice class, a 3-tuple (Minkowski plane), or an HVec."""
+    """Coerce a lattice class or an HVec."""
     if isinstance(x, HVec):
         return x
     if isinstance(x, PMClass):
         return HVec(x.ell, x.exc)
-    if isinstance(x, tuple) and len(x) == 3:
-        t, u, v = x
-        return HVec(float(t), {"_plane0": float(u), "_plane1": float(v)})
     raise TypeError(f"cannot interpret {type(x).__name__} as a Minkowski vector")
 
 
@@ -185,6 +182,8 @@ class Tube:
     end_radius: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.hi, self.end_radius))):
+            raise ValueError("tube ends and radius must be finite")
         if not self.hi > self.lo:
             raise ValueError("tube needs hi > lo")
         if self.end_radius < 0:
@@ -193,6 +192,8 @@ class Tube:
 
 def tube_radius(t: Tube, z: float) -> float:
     """Radius of the tube at arclength z in [lo, hi]; minimal at the midpoint."""
+    if not math.isfinite(z):
+        raise ValueError(f"coordinate {z} is not finite")
     if z < t.lo or z > t.hi:
         raise ValueError(f"coordinate {z} outside tube [{t.lo}, {t.hi}]")
     if t.end_radius == 0.0:
@@ -200,7 +201,11 @@ def tube_radius(t: Tube, z: float) -> float:
     mid = 0.5 * (t.lo + t.hi)
     half = 0.5 * (t.hi - t.lo)
     tanh_eps = math.tanh(t.end_radius)
-    arg = min(tanh_eps * math.cosh(z - mid) / math.cosh(half), tanh_eps)
+    # cosh(a)/cosh(half) = e^(a-half) (1 + e^-2a)/(1 + e^-2half) with a = |z - mid| <= half,
+    # which stays finite where cosh itself overflows (past ~710)
+    a = abs(z - mid)
+    ratio = math.exp(a - half) * (1.0 + math.exp(-2.0 * a)) / (1.0 + math.exp(-2.0 * half))
+    arg = min(tanh_eps * ratio, tanh_eps)
     if arg >= 1.0:
         return t.end_radius
     return math.atanh(arg)
@@ -221,19 +226,24 @@ def traversal_offset(eps: float, eta: float, d_wz: float) -> float:
 
     Returns argcosh(tanh(eps) * cosh(d_wz) / tanh(eta)).  When the argument is
     below 1 the eps-tube is already thinner than eta there; by convention the
-    offset is 0, flagged with a RuntimeWarning.
+    offset is 0, flagged with a RuntimeWarning.  The argument is handled by
+    its log, since cosh(d_wz) overflows past d_wz ~ 710.
     """
     if eps < 0 or eta <= 0 or d_wz < 0:
         raise ValueError("need eps >= 0, eta > 0, d_wz >= 0")
-    arg = math.tanh(eps) * math.cosh(d_wz) / math.tanh(eta)
-    if arg < 1.0:
+    ratio = math.tanh(eps) / math.tanh(eta)
+    log_arg = -math.inf
+    if ratio > 0.0:  # log(ratio * cosh(d_wz)), with cosh(d) = e^d (1 + e^-2d) / 2
+        log_arg = math.log(ratio) + d_wz + math.log1p(math.exp(-2.0 * d_wz)) - math.log(2.0)
+    if log_arg < 0.0:
         warnings.warn(
             "tube radius is already below eta at the requested coordinate; offset 0",
             RuntimeWarning,
             stacklevel=2,
         )
         return 0.0
-    return math.acosh(arg)
+    # argcosh(x) = log x + log(1 + sqrt(1 - x^-2))
+    return log_arg + math.log1p(math.sqrt(-math.expm1(-2.0 * log_arg)))
 
 
 def wpd_exponents(eps: float, eta: float, L: float, z: float, z_prime: float, w: float) -> Tuple[int, int]:
@@ -255,8 +265,12 @@ def wpd_exponents(eps: float, eta: float, L: float, z: float, z_prime: float, w:
     else:
         reach = traversal_offset(eps, eta / 3.0, half_in)
     # smallest naturals with  w - N*L + eps <= mid - reach <= mid + reach <= w + M*L - eps
-    n_exp = max(0, math.ceil((w - mid + reach + eps) / L - 1e-12))
-    m_exp = max(0, math.ceil((mid + reach - w + eps) / L - 1e-12))
+    n_real = (w - mid + reach + eps) / L
+    m_real = (mid + reach - w + eps) / L
+    if not (math.isfinite(n_real) and math.isfinite(m_real)):
+        raise ValueError("displacement exponents are not finite (infinite input or tiny L)")
+    n_exp = max(0, math.ceil(n_real - 1e-12))
+    m_exp = max(0, math.ceil(m_real - 1e-12))
     for _ in range(4):
         lo = w - n_exp * L + eps
         hi = w + m_exp * L - eps

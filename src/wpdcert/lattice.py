@@ -106,9 +106,6 @@ class PMClass:
     def coeff(self, label: PointLabel) -> Fraction:
         return self.exc.get(label, Fraction(0))
 
-    def support(self):
-        return self.exc.keys()
-
     def is_zero(self) -> bool:
         return not self.ell and not self.exc
 
@@ -141,9 +138,6 @@ class PMClass:
         return PMClass.from_canonical(self.ell * t, {label: coeff * t for label, coeff in self.exc.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, t: Rational) -> "PMClass":
-        return self * (Fraction(1) / Fraction(t))
 
     def __eq__(self, other):
         return isinstance(other, PMClass) and self.ell == other.ell and self.exc == other.exc
@@ -215,21 +209,12 @@ def is_unit_timelike(c: PMClass) -> bool:
     return c.ell > 0 and intersect(c, c) == 1
 
 
-def format_rational(x: Rational) -> str:
-    return str(Fraction(x))
-
-
 def to_json_dict(c: PMClass) -> dict:
-    """JSON form {"ell": "p/q", "exc": [{"label": ..., "coeff": "p/q"}, ...]}."""
+    """JSON form {"ell": "p/q", "exc": [{"label": ..., "coeff": "p/q"}, ...]}; output only."""
     return {
-        "ell": format_rational(c.ell),
+        "ell": str(c.ell),
         "exc": [
-            {"label": str(label), "coeff": format_rational(c.exc[label])}
+            {"label": str(label), "coeff": str(c.exc[label])}
             for label in sorted(c.exc)
         ],
     }
-
-
-def from_json_dict(data: dict) -> PMClass:
-    exc = [(parse_label(entry["label"]), Fraction(entry["coeff"])) for entry in data.get("exc", ())]
-    return PMClass(Fraction(data.get("ell", 0)), exc)

@@ -7,12 +7,12 @@ tiny, so clarity wins over asymptotics.
 
 from __future__ import annotations
 
-import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .fields import QQ, field_from_tag
+from .fields import QQ
 
 Monomial = Tuple[int, int]
 
@@ -31,19 +31,12 @@ class Poly2:
         self.coeffs = clean
 
     @classmethod
-    def constant(cls, field, value):
-        return cls(field, {(0, 0): field.coerce(value)})
-
-    @classmethod
     def variable(cls, field, name: str):
         if name == "x":
             return cls(field, {(1, 0): field.one})
         if name == "y":
             return cls(field, {(0, 1): field.one})
         raise ValueError(f"unknown variable {name!r}")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -94,30 +87,35 @@ class Poly2:
         res.coeffs = out
         return res
 
-    def scaled(self, c) -> "Poly2":
-        f = self.field
-        if c == f.zero:
-            return Poly2(f)
-        res = Poly2.__new__(Poly2)
-        res.field = f
-        res.coeffs = {mono: f.mul(v, c) for mono, v in self.coeffs.items()}
-        return res
-
     def subst(self, px: "Poly2", py: "Poly2") -> "Poly2":
-        """Evaluate self at x = px, y = py (generic composition step)."""
+        """Evaluate self at x = px, y = py (generic composition step).
+
+        Powers of px and py are built once, a term with no x (or no y) skips
+        the product with the constant power 1, and every term is added into
+        one dict.
+        """
         f = self.field
         max_i = max((i for i, _ in self.coeffs), default=0)
         max_j = max((j for _, j in self.coeffs), default=0)
-        xpow = [Poly2.constant(f, 1)]
-        for _ in range(max_i):
+        one = Poly2(f, {(0, 0): f.one})
+        xpow, ypow = [one, px], [one, py]
+        for _ in range(max_i - 1):
             xpow.append(xpow[-1] * px)
-        ypow = [Poly2.constant(f, 1)]
-        for _ in range(max_j):
+        for _ in range(max_j - 1):
             ypow.append(ypow[-1] * py)
-        total = Poly2(f)
+        out: Dict[Monomial, object] = {}
         for (i, j), c in self.coeffs.items():
-            total = total + (xpow[i] * ypow[j]).scaled(c)
-        return total
+            power = xpow[i] * ypow[j] if i and j else (xpow[i] if i else ypow[j])
+            for mono, v in power.coeffs.items():
+                s = f.add(out.get(mono, f.zero), f.mul(v, c))
+                if s != f.zero:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        res = Poly2.__new__(Poly2)
+        res.field = f
+        res.coeffs = out
+        return res
 
     def __eq__(self, other):
         return (
@@ -161,41 +159,6 @@ class Poly2:
     __repr__ = __str__
 
 
-_TERM_RE = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*?)?(?P<xpart>x(?:\^(?P<xe>\d+))?)?\*?(?P<ypart>y(?:\^(?P<ye>\d+))?)?$")
-
-
-def parse_poly(field, text: str) -> Poly2:
-    """Parse the format emitted by Poly2.__str__ (signed sums of c*x^i*y^j)."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
-    s = s.replace("-", "+-")
-    if s.startswith("+"):
-        s = s[1:]
-    coeffs: Dict[Monomial, object] = {}
-    for chunk in s.split("+"):
-        if not chunk:
-            raise ValueError(f"cannot parse polynomial {text!r}")
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("xpart") is None and m.group("ypart") is None):
-            raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        c = field.coerce(Fraction(m.group("coeff"))) if m.group("coeff") else field.one
-        if neg:
-            c = field.neg(c)
-        i = 0 if m.group("xpart") is None else int(m.group("xe") or 1)
-        j = 0 if m.group("ypart") is None else int(m.group("ye") or 1)
-        mono = (i, j)
-        c = field.add(coeffs.get(mono, field.zero), c)
-        if c != field.zero:
-            coeffs[mono] = c
-        else:
-            coeffs.pop(mono, None)
-    return Poly2(field, coeffs)
-
-
 class PolyMap:
     """Polynomial self-map of the affine plane: (x, y) -> (comp_x, comp_y)."""
 
@@ -226,18 +189,25 @@ class PolyMap:
         return f"PolyMap[{self.field.tag}]({self})"
 
 
-def poly_map(field, comp_x: str, comp_y: str) -> PolyMap:
-    return PolyMap(field, parse_poly(field, comp_x), parse_poly(field, comp_y))
-
-
 def serialize_map(f: PolyMap) -> dict:
     return {"field": f.field.tag, "map": str(f)}
 
 
-def parse_map(data: dict) -> PolyMap:
-    field = field_from_tag(data["field"])
-    cx, cy = data["map"].split(";")
-    return poly_map(field, cx, cy)
+@dataclass(frozen=True, order=True)
+class RootExponentMap:
+    """Diagonal map (zeta^a_exp x, zeta^c_exp y), zeta a primitive root of unity.
+
+    Symbolic form of a Fix-set element over Q, where the roots of unity are
+    not rational; modulus is n^2 - 1 and c_exp = n * a_exp (mod modulus).
+    """
+
+    modulus: int
+    a_exp: int
+    c_exp: int
+
+    def __str__(self):
+        m = self.modulus
+        return f"zeta{m}^{self.a_exp}*x; zeta{m}^{self.c_exp}*y"
 
 
 def identity_map(field=QQ) -> PolyMap:

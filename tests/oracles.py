@@ -10,7 +10,7 @@ from fractions import Fraction
 from scipy.optimize import brentq
 
 from wpdcert.action import ActionDomainError
-from wpdcert.hyperbolic import HVec, as_vector, mdot
+from wpdcert.hyperbolic import HVec, mdot
 from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
 from wpdcert.polymaps import Poly2
 
@@ -23,9 +23,9 @@ def lambert_fourth_vertex(d_dc, d_cb):
     D orthogonal to DC, at the root of the pairing with the CB tangent at B
     (that pairing vanishes exactly on the geodesic through B orthogonal to CB).
     """
-    c_pt = as_vector((1.0, 0.0, 0.0))
-    u = HVec(0.0, {"_plane0": 1.0})
-    v = HVec(0.0, {"_plane1": 1.0})
+    c_pt = HVec(1.0, {})
+    u = HVec(0.0, {"u": 1.0})
+    v = HVec(0.0, {"v": 1.0})
     b_pt = c_pt * math.cosh(d_cb) + u * math.sinh(d_cb)
     d_pt = c_pt * math.cosh(d_dc) + v * math.sinh(d_dc)
     tangent_b = c_pt * math.sinh(d_cb) + u * math.cosh(d_cb)

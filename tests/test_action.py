@@ -123,7 +123,7 @@ def test_axis_class_exact_pairings(n, depth):
     assert ax.tail_norm_sq == 2 * tail_exp
     assert intersect(ax.r, L) == 0
     assert intersect(ax.r, ax.r) == -2 + 2 * tail_exp
-    assert ax.w_norm_sq() == 1 + tail_exp
+    assert ax.w_norm_sq == 1 + tail_exp
     assert ax.w_scaled == ax.b_plus + ax.b_minus
 
 
@@ -156,11 +156,12 @@ def test_truncated_endpoints_are_eigenclasses(n):
 def test_translation_displacement_closed_form(n, depth):
     # W.h(W) = n + 1/n + 2*n^(-2*depth-1), exactly
     ax = axis_classes(n, depth)
-    hw = ax.translate_w(1)
+    orbit = ax.w_orbit(1)
+    hw = orbit[1]
     expected = Fraction(n) + Fraction(1, n) + Fraction(2, n ** (2 * depth + 1))
     assert intersect(ax.w_scaled, hw) == expected
     assert intersect(hw, hw) == intersect(ax.w_scaled, ax.w_scaled)
-    assert ax.translate_w(0) == ax.w_scaled
+    assert orbit[0] == ax.w_scaled
     assert henon_act(n, hw, -1) == ax.w_scaled
 
 

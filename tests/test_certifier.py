@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpdcert import _bruteforce, action, certifier
+from wpdcert import _bruteforce, action, certifier, lattice
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
     ParameterError,
@@ -22,6 +22,7 @@ from wpdcert.certifier import (
     worst_case_intersection,
 )
 from wpdcert.lattice import PMClass
+from wpdcert.polymaps import diagonal_affine_parts
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,21 +146,23 @@ def test_fix_set_symbolic_root_exponents():
     assert str(sym[1]) == "zeta8^1*x; zeta8^3*y"
 
 
+def _parts(maps):
+    return [diagonal_affine_parts(f) for f in maps]
+
+
 def test_fix_set_bruteforce_small_cases():
     got = fix_set_bruteforce(2, 7)
     assert len(got) == 3
-    assert certifier._as_tuples(got) == [(1, 0, 1, 0), (2, 0, 4, 0), (4, 0, 2, 0)]
-    assert certifier._as_tuples(got) == certifier._as_tuples(fix_set_symbolic(2, 7))
+    assert _parts(got) == [(1, 0, 1, 0), (2, 0, 4, 0), (4, 0, 2, 0)]
+    assert _parts(got) == _parts(fix_set_symbolic(2, 7))
     # no nontrivial cube roots of unity mod 5: only the identity survives
     got5 = fix_set_bruteforce(2, 5)
-    assert certifier._as_tuples(got5) == [(1, 0, 1, 0)]
+    assert _parts(got5) == [(1, 0, 1, 0)]
 
 
 def test_fix_set_oracle_equivalence_triplet():
     for n, p in ((2, 7), (2, 13), (3, 17)):
-        assert certifier._as_tuples(fix_set_bruteforce(n, p)) == certifier._as_tuples(
-            fix_set_symbolic(n, p)
-        )
+        assert _parts(fix_set_bruteforce(n, p)) == _parts(fix_set_symbolic(n, p))
 
 
 def test_fix_set_bruteforce_validation():
@@ -214,6 +217,23 @@ def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
     monkeypatch.setattr(action, "_act_once", counted)
     assert certify(n, depth).passed
     assert len(steps) == 2 * depth + 4
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
+def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
+    # b+.b-, b+.b+, b-.b-, w.w and w.h(w): five exact pairings in all
+    pairs = []
+    real = lattice.intersect
+
+    def counted(c, d):
+        pairs.append((c, d))
+        return real(c, d)
+
+    monkeypatch.setattr(action, "intersect", counted)
+    monkeypatch.setattr(certifier, "intersect", counted)
+    assert certify(n, depth).passed
+    assert len(pairs) == 5
+    assert sum(c is d for c, d in pairs) == 3
 
 
 def test_certify_smallest_prime_case():

@@ -1,6 +1,7 @@
 """Command-line front end: flags, formats, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,40 @@ def test_tube_queries(capsys):
 
     code, _, err = run_cli(capsys, "tube", "--lo", "0", "--hi", "1", "--radius", "0.1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "tube --lo 0 --hi 2000 --radius 0.4 --z 1000",
+        "tube --exponents --eps 0.5 --eta 0.15 --length 0.693 --zlo -1000 --zhi 1000 --w 0",
+    ],
+)
+def test_tube_past_cosh_overflow_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    if "radius" in data:
+        assert data["radius"] == "0"
+    else:
+        assert data["exponents"]["N"] == data["exponents"]["M"] > 1000
+        assert all(math.isfinite(float(v)) for v in data["outer"].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "tube --lo 0 --hi 2 --radius nan --z 1",
+        "tube --lo 0 --hi 2 --radius 0.4 --z nan",
+        "tube --lo 0 --hi inf --radius 0.4 --z 1",
+        "tube --lo -1 --hi 3 --radius 0.3 --inner-lo 0 --inner-hi 2 --inner-radius nan",
+        "tube --exponents --eps 0.1 --eta 0.15 --length 0.693 --zlo -1 --zhi 1 --w inf",
+    ],
+)
+def test_non_finite_tube_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "finite" in json.loads(err)["error"]
 
 
 def test_oracle_command(capsys):

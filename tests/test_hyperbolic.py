@@ -111,7 +111,7 @@ def test_geodesic_point_unit_speed():
 
 
 def test_project_point_already_on_geodesic():
-    g = GeodesicSpec((1.0, 1.0, 0.0), (1.0, -1.0, 0.0))
+    g = GeodesicSpec(HVec(1.0, {"u": 1.0}), HVec(1.0, {"u": -1.0}))
     for t in (-1.0, 0.0, 2.0):
         x = g.point(t)
         assert abs(mdot(x, x) - 1.0) < 1e-12
@@ -133,7 +133,7 @@ def test_projection_of_line_class_is_axis_point():
 
 def test_projection_minimizes_distance():
     rng = random.Random(4)
-    g = GeodesicSpec((1.0, 1.0, 0.0), (1.0, -1.0, 0.0))
+    g = GeodesicSpec(HVec(1.0, {"u": 1.0}), HVec(1.0, {"u": -1.0}))
     for _ in range(10):
         x = _random_timelike(rng, size=2)
         p = project_to_geodesic(x, g)
@@ -239,6 +239,42 @@ def test_traversal_offset_values():
 def test_traversal_offset_flags_trivial_case():
     with pytest.warns(RuntimeWarning):
         assert traversal_offset(0.1, 0.5, 0.0) == 0.0
+    with pytest.warns(RuntimeWarning):
+        assert traversal_offset(0.0, 0.5, 1000.0) == 0.0  # eps = 0: no tube at all
+
+
+def test_tube_formulas_match_cosh_and_stay_finite_past_its_overflow():
+    # the overflow-free forms agree with the direct cosh formulas where cosh is finite
+    rng = random.Random(12)
+    for _ in range(2000):
+        lo = rng.uniform(-5.0, 5.0)
+        t = Tube(lo, lo + rng.uniform(0.01, 30.0), rng.uniform(0.0, 2.0))
+        z = rng.uniform(t.lo, t.hi)
+        mid, half = 0.5 * (t.lo + t.hi), 0.5 * (t.hi - t.lo)
+        tanh_eps = math.tanh(t.end_radius)
+        direct = math.atanh(min(tanh_eps * math.cosh(z - mid) / math.cosh(half), tanh_eps))
+        assert abs(tube_radius(t, z) - direct) <= 1e-12 * max(1.0, direct)
+        eps, eta, d = rng.uniform(0.05, 2.0), rng.uniform(0.01, 2.0), rng.uniform(0.0, 30.0)
+        arg = math.tanh(eps) * math.cosh(d) / math.tanh(eta)
+        if arg >= 1.0 + 1e-6:
+            assert abs(traversal_offset(eps, eta, d) - math.acosh(arg)) <= 1e-12 * max(1.0, d)
+    # past d ~ 710, cosh(d) overflows; the results stay finite and exact in the limit
+    assert tube_radius(Tube(0.0, 2000.0, 0.4), 1000.0) == 0.0
+    assert tube_radius(Tube(0.0, 2000.0, 0.4), 2000.0) == pytest.approx(0.4, abs=1e-12)
+    off = traversal_offset(0.5, 0.05, 1000.0)
+    expected = 1000.0 + math.log(math.tanh(0.5) / math.tanh(0.05))  # argcosh(x) ~ log(2x)
+    assert math.isfinite(off) and abs(off - expected) < 1e-12 * 1000.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tube_rejects_non_finite_input(bad):
+    for lo, hi, radius in ((bad, 2.0, 0.4), (0.0, bad, 0.4), (0.0, 2.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            Tube(lo, hi, radius)
+    with pytest.raises(ValueError, match="finite"):
+        tube_radius(Tube(0.0, 2.0, 0.4), bad)
+    with pytest.raises(ValueError, match="finite"):
+        wpd_exponents(0.1, 0.15, 0.693, -1.0, 1.0, bad)
 
 
 def test_traversal_offset_round_trip():
