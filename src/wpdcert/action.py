@@ -36,6 +36,11 @@ from .lattice import (
 )
 
 
+#: largest support 2(2n-1)(depth+1) of an axis truncation; it admits (2, 1665),
+#: about twice the support of (2, 800), the largest depth the benchmark runs
+MAX_AXIS_SUPPORT = 10_000
+
+
 class ActionDomainError(ValueError):
     """Raised when a class leaves the domain of the partial lattice action."""
 
@@ -175,12 +180,19 @@ def axis_classes(n: int, depth: int) -> AxisData:
       b_plus . b_minus = 1,   b_plus . b_plus = b_minus . b_minus = n^(-2*depth-2),
       w_scaled . w_scaled = 2 + 2*n^(-2*depth-2).
     Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1);
-    the three series are accumulated in dicts and wrapped once.
+    the three series are accumulated in dicts and wrapped once.  A support
+    2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused with a ValueError.
     """
     if n < 2:
         raise ValueError("axis_classes needs n >= 2")
     if depth < 1:
         raise ValueError("axis_classes needs depth >= 1")
+    support = 2 * (2 * n - 1) * (depth + 1)
+    if support > MAX_AXIS_SUPPORT:
+        raise ValueError(
+            f"axis truncation support 2(2n-1)(depth+1) = {support} exceeds {MAX_AXIS_SUPPORT}; "
+            "lower the depth or n"
+        )
     b_plus = {}
     b_minus = {}
     r = {}

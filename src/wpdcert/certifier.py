@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 from . import _bruteforce
 from .action import AxisData, axis_classes
 from .fields import PrimeField
-from .hyperbolic import as_vector, chord_distance, distance, geodesic_points
 from .lattice import PMClass, intersect
 from .polymaps import PolyMap, RootExponentMap, affine_map
 from .report import to_json
@@ -206,38 +205,66 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
 # Fix-set monotonicity (geometric inclusion hypothesis)
 
 
-def fix_monotonicity_check(axis: AxisData, orbit: Optional[Dict[int, PMClass]] = None) -> dict:
-    """Verify the convexity hypothesis behind the Fix-set inclusion chain.
+def _gram_det(g: tuple, powers: tuple) -> Fraction:
+    """Determinant of the Gram matrix of h^k(w_scaled), k in powers: entry (i, j) is g[|i - j|]."""
+    m = [[g[abs(i - j)] for j in powers] for i in powers]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def fix_monotonicity_check(
+    axis: AxisData,
+    orbit: Optional[Dict[int, PMClass]] = None,
+    g1: Optional[Fraction] = None,
+) -> dict:
+    """Verify the convexity hypothesis behind the Fix-set inclusion chain, exactly.
 
     The five truncated axis points h^k(w), k = -2..2, must lie in order on a
-    common geodesic up to a tail-derived tolerance; then for every isometry at
-    once, moving the outer pair by at most eps moves the inner points by at
-    most eps + 2*deviation.  Direct evaluation on the Fix members themselves
-    would need the action on infinitely-near points, which is out of scope.
-    ``orbit`` maps k to h^k(w_scaled), as from ``axis.w_orbit(2)`` (the
-    default).  Deviations are chord distances, which stay accurate near 0.
+    common geodesic up to the tail; then for every isometry at once, moving
+    the outer pair by at most eps moves the inner points by at most eps plus
+    twice their distance from that geodesic.  Direct evaluation on the Fix
+    members themselves would need the action on infinitely-near points, which
+    is out of scope.
+
+    The shift map is an isometry, so the Gram matrix of the orbit is Toeplitz
+    in g_k = B(w_scaled, h^k w_scaled): g_0 = 2 w.w, g_1 (the translation
+    pairing, paired from ``orbit`` unless given) and three further exact
+    pairings.  The points are ordered when g_0 < g_1 < g_2 < g_3 < g_4, and
+    h^j(w) lies at distance delta_j from the geodesic through h^-2(w) and
+    h^2(w) with sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix
+    of the ends and G3_j that of the ends and h^j(w).  The verdict needs
+    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction;
+    ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq, as a
+    float for display only.  ``orbit`` maps k to h^k(w_scaled), as from
+    ``axis.w_orbit(2)`` (the default).
     """
     if orbit is None:
         orbit = axis.w_orbit(2)
-    # the shift map acts isometrically, so every h^k(w_scaled) has the norm 2 w.w
-    unit = 1.0 / math.sqrt(float(2 * axis.w_norm_sq))
-    points = [as_vector(orbit[k]) * unit for k in (-2, -1, 0, 1, 2)]
-    from_start = [distance(points[0], p) for p in points]
-    total = from_start[-1]
-    consecutive = [distance(points[i], points[i + 1]) for i in range(4)]
-    additivity_gap = abs(total - sum(consecutive))
-    # the inner points against the geodesic points at the same distance from the start
-    on_geodesic = geodesic_points(points[0], points[-1], from_start[1:4])
-    deviations = [chord_distance(p, q) for p, q in zip(points[1:4], on_geodesic)]
-    tolerance = 1e-7 + 10.0 * math.sqrt(float(axis.tail_norm_sq))
-    max_dev = max(deviations + [additivity_gap])
-    ordered = all(from_start[i] < from_start[i + 1] for i in range(4))
+    if g1 is None:
+        g1 = intersect(orbit[0], orbit[1])
+    g = (
+        2 * axis.w_norm_sq,
+        g1,
+        intersect(orbit[-1], orbit[1]),
+        intersect(orbit[-1], orbit[2]),
+        intersect(orbit[-2], orbit[2]),
+    )
+    ordered = all(g[k] < g[k + 1] for k in range(4))
+    det2 = _gram_det(g, (-2, 2))
+    ratio = None  # the ends coincide: no geodesic to measure against
+    if det2:
+        scale = g[0] * det2 * axis.tail_norm_sq
+        ratio = max(-_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1))
     return {
-        "max_deviation": max_dev,
-        "additivity_gap": additivity_gap,
-        "tolerance": tolerance,
+        "mode": "exact",
+        "deviation_ratio": None if ratio is None else float(ratio),
         "ordered": ordered,
-        "ok": ordered and max_dev <= tolerance,
+        "ok": ordered and ratio <= 1,
     }
 
 
@@ -355,19 +382,21 @@ def certify(
     }
 
     # translation length: cosh of the displacement of the normalized axis point;
-    # h^k(w) for k = -2..2 is walked once and shared with the monotonicity check
+    # h^k(w) for k = -2..2 and the pairing g1 = w.h(w) are shared with the
+    # monotonicity check
     orbit = axis.w_orbit(2)
-    cosh_ratio = Fraction(intersect(axis.w_scaled, orbit[1]), 2 * w_norm_sq)
+    g1 = intersect(axis.w_scaled, orbit[1])
+    cosh_ratio = g1 / (2 * w_norm_sq)
     expected_cosh = Fraction(n * n + 1, 2 * n)
-    trans_tol = SQRT2 * float(Fraction(1, n ** (depth + 1)))
     translation = {
         "cosh_value": cosh_ratio,
         "expected": expected_cosh,
-        "tolerance": trans_tol,
-        "ok": abs(float(cosh_ratio - expected_cosh)) <= trans_tol,
+        "tolerance": SQRT2 * float(Fraction(1, n ** (depth + 1))),
+        # |cosh_value - expected| <= sqrt(2) n^-(depth+1), squared so that it is decided over Q
+        "ok": (cosh_ratio - expected_cosh) ** 2 <= 2 * tail_exp,
     }
 
-    monotonicity = fix_monotonicity_check(axis, orbit)
+    monotonicity = fix_monotonicity_check(axis, orbit, g1)
 
     fix_sym = fix_set_symbolic(n, p)
     fix_bf = None if p is None else fix_set_bruteforce(n, p)

@@ -24,6 +24,10 @@ from .certifier import ParameterError
 from .lattice import PointLabel, intersect, line_class, parse_label
 
 
+#: largest --iters of the orbit command (its output grows linearly)
+MAX_ORBIT_ITERS = 10_000
+
+
 def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
     """Write the formatted payload as JSON or CSV to --output or stdout.
 
@@ -115,8 +119,8 @@ def _parse_orbit_label(text: str, n: int) -> PointLabel:
 
 
 def _cmd_orbit(args) -> int:
-    if args.iters < 1:
-        raise ParameterError("need --iters >= 1")
+    if not 1 <= args.iters <= MAX_ORBIT_ITERS:
+        raise ParameterError(f"need 1 <= --iters <= {MAX_ORBIT_ITERS}")
     label = _parse_orbit_label(args.label, args.n)
     direction = 1 if label.family == "q" else -1
     entries = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, List, Mapping, Sequence, Tuple, Union
+from typing import Hashable, Mapping, Tuple, Union
 
 from .lattice import PMClass
 
@@ -19,6 +19,10 @@ from .lattice import PMClass
 DELTA = math.log(1.0 + math.sqrt(2.0))
 
 _UNIT_TOL = 1e-9
+
+#: largest displacement exponent whose neighbours are floats: past 2**53 a
+#: float no longer tells N from N - 1, so no minimality can be verified there
+MAX_EXPONENT = 2**53
 
 
 class HVec:
@@ -93,30 +97,14 @@ def distance(x: VectorLike, y: VectorLike) -> float:
     return math.acosh(max(b, 1.0))
 
 
-def chord_distance(x: VectorLike, y: VectorLike) -> float:
-    """Hyperbolic distance from the chord: 2 asinh(sqrt(-B(x-y, x-y)) / 2).
-
-    Equal to distance(x, y) for unit timelike points, but accurate for close
-    points: there B(x, y) = 1 + delta and acosh turns one rounding of delta
-    into an error of about sqrt(2 ulp) ~ 1e-8, while the chord loses nothing.
-    """
-    chord = as_vector(x) - as_vector(y)
-    return 2.0 * math.asinh(math.sqrt(max(0.0, -mdot(chord, chord))) / 2.0)
-
-
-def geodesic_points(x: VectorLike, y: VectorLike, ts: Sequence[float]) -> List[HVec]:
-    """Points at arclengths ts along the unit-speed geodesic from x toward y."""
+def geodesic_point(x: VectorLike, y: VectorLike, t: float) -> HVec:
+    """Point at arclength t along the unit-speed geodesic from x toward y."""
     xv, yv = as_vector(x), as_vector(y)
     d = distance(xv, yv)
     if d == 0.0:
         raise ValueError("geodesic direction undefined for coincident points")
     u = (yv - xv * math.cosh(d)) * (1.0 / math.sinh(d))
-    return [xv * math.cosh(t) + u * math.sinh(t) for t in ts]
-
-
-def geodesic_point(x: VectorLike, y: VectorLike, t: float) -> HVec:
-    """Point at arclength t along the unit-speed geodesic from x toward y."""
-    return geodesic_points(x, y, [t])[0]
+    return xv * math.cosh(t) + u * math.sinh(t)
 
 
 class GeodesicSpec:
@@ -252,6 +240,7 @@ def wpd_exponents(eps: float, eta: float, L: float, z: float, z_prime: float, w:
     The outer tube has ends w - N*L + eps and w + M*L - eps; minimality is
     relative to the symmetric-offset construction (conservative for an
     asymmetric grid), and the result is re-verified with tube_traverses.
+    Exponents past MAX_EXPONENT are refused with a ValueError.
     """
     if eps < 0 or eta <= 0 or L <= 0:
         raise ValueError("need eps >= 0, eta > 0, L > 0")
@@ -272,6 +261,8 @@ def wpd_exponents(eps: float, eta: float, L: float, z: float, z_prime: float, w:
     n_exp = max(0, math.ceil(n_real - 1e-12))
     m_exp = max(0, math.ceil(m_real - 1e-12))
     for _ in range(4):
+        if max(n_exp, m_exp) > MAX_EXPONENT:
+            raise ValueError("displacement exponents exceed 2**53, past which floats do not resolve them")
         lo = w - n_exp * L + eps
         hi = w + m_exp * L - eps
         if lo <= inner.lo and inner.hi <= hi and tube_traverses(Tube(lo, hi, eps), inner):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from scipy.optimize import brentq
 
 from wpdcert.action import ActionDomainError
-from wpdcert.hyperbolic import HVec, mdot
+from wpdcert.hyperbolic import HVec, as_vector, mdot
 from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
 from wpdcert.polymaps import Poly2
 
@@ -129,3 +129,42 @@ def reference_axis_series(n, depth):
         fwd = reference_act_once(n, fwd, 1)
         bwd = reference_act_once(n, bwd, -1)
     return b_plus, b_minus, r, line_class() * 2 - r
+
+
+def reference_monotonicity_float(axis, orbit):
+    """The float convexity check: h^k(w), k = -2..2, as unit HVecs, in order near one geodesic.
+
+    Each inner point is compared with the point of the geodesic from h^-2(w)
+    toward h^2(w) at the same distance from h^-2(w), by the chord distance
+    2 asinh(sqrt(-B(x-y, x-y)) / 2), which stays accurate near 0; the verdict
+    allows 1e-7 + 10 sqrt(tail_norm_sq).
+    """
+    unit = 1.0 / math.sqrt(float(2 * axis.w_norm_sq))
+    points = [as_vector(orbit[k]) * unit for k in (-2, -1, 0, 1, 2)]
+
+    def dist(x, y):
+        return math.acosh(max(mdot(x, y), 1.0))
+
+    def chord(x, y):
+        c = x - y
+        return 2.0 * math.asinh(math.sqrt(max(0.0, -mdot(c, c))) / 2.0)
+
+    start, end = points[0], points[-1]
+    from_start = [dist(start, p) for p in points]
+    total = from_start[-1]
+    additivity_gap = abs(total - sum(dist(points[i], points[i + 1]) for i in range(4)))
+    direction = (end - start * math.cosh(total)) * (1.0 / math.sinh(total))
+    deviations = [
+        chord(p, start * math.cosh(t) + direction * math.sinh(t))
+        for p, t in zip(points[1:4], from_start[1:4])
+    ]
+    tolerance = 1e-7 + 10.0 * math.sqrt(float(axis.tail_norm_sq))
+    max_dev = max(deviations + [additivity_gap])
+    ordered = all(from_start[i] < from_start[i + 1] for i in range(4))
+    return {
+        "max_deviation": max_dev,
+        "additivity_gap": additivity_gap,
+        "tolerance": tolerance,
+        "ordered": ordered,
+        "ok": ordered and max_dev <= tolerance,
+    }

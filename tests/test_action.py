@@ -172,6 +172,14 @@ def test_axis_validation():
         axis_classes(2, 0)
 
 
+def test_axis_support_bound():
+    # 2(2n-1)(depth+1) = 10000 exactly at (3, 999); one more level is refused
+    assert action.MAX_AXIS_SUPPORT == 10_000
+    assert len(axis_classes(3, 999).r.exc) == action.MAX_AXIS_SUPPORT
+    with pytest.raises(ValueError, match="exceeds 10000"):
+        axis_classes(3, 1000)
+
+
 def _same_class_and_order(c, d):
     return c == d and list(c.exc.items()) == list(d.exc.items())
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_monotonicity_float
 from wpdcert import _bruteforce, action, certifier, lattice
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
@@ -180,28 +181,77 @@ def test_kernel_matches_per_candidate_reference(n, p):
 
 
 def test_monotonicity_check():
-    # for n = 4 and 6..10, a deviation taken as acosh(B(x, y)) with B ~ 1
-    # exceeds the tolerance by rounding alone
     for n in range(2, 11):
         result = fix_monotonicity_check(axis_classes(n, 20))
+        assert result["mode"] == "exact"
         assert result["ok"] and result["ordered"]
-        assert result["max_deviation"] <= result["tolerance"]
+        assert 0 < result["deviation_ratio"] <= 1
     shallow = fix_monotonicity_check(axis_classes(2, 4))
     assert shallow["ok"]
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_monotonicity_agrees_with_float_reference(n):
+    # the float check it replaced: the same verdicts, and the exact distance
+    # asinh(sqrt(sinh^2 delta)) of the worst inner point from the geodesic
+    # matches the float deviation wherever that is above rounding noise
+    for depth in (2, 4, 8, 20, 100):
+        axis = axis_classes(n, depth)
+        orbit = axis.w_orbit(2)
+        exact = fix_monotonicity_check(axis, orbit)
+        ref = reference_monotonicity_float(axis, orbit)
+        assert exact["ok"] is ref["ok"] is True
+        assert exact["ordered"] is ref["ordered"] is True
+        # sinh^2 delta stays below half the tail: a factor of 2 to spare
+        assert 0.4 < exact["deviation_ratio"] < 0.5
+        if ref["max_deviation"] > 1e-10:
+            delta = math.asinh(math.sqrt(exact["deviation_ratio"] * float(axis.tail_norm_sq)))
+            assert delta == pytest.approx(ref["max_deviation"], rel=0.01)
+
+
+def test_monotonicity_fails_on_a_disordered_orbit():
+    axis = axis_classes(3, 12)
+    orbit = axis.w_orbit(2)
+    swapped = {**orbit, 1: orbit[2], 2: orbit[1]}
+    result = fix_monotonicity_check(axis, swapped)
+    assert not result["ordered"] and not result["ok"]
+    # a repeated point (g_1 = g_0) is not in order either
+    repeated = {**orbit, 1: orbit[0]}
+    assert not fix_monotonicity_check(axis, repeated)["ordered"]
+
+
+def test_monotonicity_fails_off_the_geodesic():
+    # moving the middle point towards l keeps the order but leaves the geodesic
+    axis = axis_classes(3, 12)
+    orbit = axis.w_orbit(2)
+    moved = {**orbit, 0: orbit[0] + lattice.line_class() * Fraction(1, 100)}
+    result = fix_monotonicity_check(axis, moved)
+    assert result["ordered"] and not result["ok"]
+    assert result["deviation_ratio"] > 1
+
+
 @pytest.mark.parametrize("depth", [20, 250])
 def test_monotonicity_verdict_independent_of_summation_order(depth):
-    # the same exact classes with every exc dict reversed: float sums run in
-    # the other order, which must not move a deviation near its tolerance
+    # the same exact classes with every exc dict reversed: exact pairings give
+    # the same result whatever order they sum in
     axis = axis_classes(3, depth)
     orbit = axis.w_orbit(2)
     reversed_orbit = {k: PMClass(c.ell, list(c.exc.items())[::-1]) for k, c in orbit.items()}
     assert reversed_orbit == orbit
     forward = fix_monotonicity_check(axis, orbit)
-    backward = fix_monotonicity_check(axis, reversed_orbit)
-    assert forward["ok"] and backward["ok"]
-    assert forward["max_deviation"] < 1e-9 and backward["max_deviation"] < 1e-9
+    assert forward["ok"]
+    assert fix_monotonicity_check(axis, reversed_orbit) == forward
+
+
+@pytest.mark.parametrize("n,depth", [(2, 2), (3, 20), (7, 30), (2, 800)])
+def test_translation_verdict_is_exact(n, depth):
+    # cosh d(w, h w) - (n + 1/n)/2 = (n^2 - 1) t / (2 n (1 + t)) with t = n^(-2 depth - 2),
+    # far inside the bound sqrt(2) n^-(depth+1) that the verdict squares
+    translation = certify(n, depth).sections["translation"]
+    t = Fraction(1, n ** (2 * depth + 2))
+    gap = translation["cosh_value"] - translation["expected"]
+    assert gap == (n * n - 1) * t / (2 * n * (1 + t))
+    assert translation["ok"] is True and gap**2 <= 2 * t
 
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
@@ -221,7 +271,8 @@ def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
 def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
-    # b+.b-, b+.b+, b-.b-, w.w and w.h(w): five exact pairings in all
+    # b+.b-, b+.b+, b-.b-, w.w, w.h(w) and the three monotonicity pairings
+    # h^-1(w).h(w), h^-1(w).h^2(w), h^-2(w).h^2(w): eight exact pairings in all
     pairs = []
     real = lattice.intersect
 
@@ -232,7 +283,7 @@ def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
     monkeypatch.setattr(action, "intersect", counted)
     monkeypatch.setattr(certifier, "intersect", counted)
     assert certify(n, depth).passed
-    assert len(pairs) == 5
+    assert len(pairs) == 8
     assert sum(c is d for c, d in pairs) == 3
 
 

@@ -148,6 +148,43 @@ def test_non_finite_tube_input_exits_2(capsys, argv):
     assert "finite" in json.loads(err)["error"]
 
 
+def test_tube_exponents_past_float_resolution_exits_2(capsys):
+    # N*L with N ~ 1e300 has lost all precision: no traversal can be verified
+    argv = "tube --exponents --eps 0.1 --eta 0.15 --length 1e-300 --zlo -1 --zhi 1 --w 0"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "2**53" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "certify --n 3 --depth 999",  # support 2(2n-1)(depth+1) = 10000, the bound
+        "orbit --n 3 --label q0 --iters 10000",
+    ],
+)
+def test_size_bounds_admit_their_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("certify --n 3 --depth 1000", "= 10010 exceeds 10000"),  # one level past the bound
+        ("axis --n 2 --depth 1666", "= 10002 exceeds 10000"),
+        ("geodesic --n 2 --depth 1666", "= 10002 exceeds 10000"),
+        ("certify --n 2 --depth 100000", "= 600006 exceeds 10000"),
+        ("certify --n 5000 --depth 2", "= 59994 exceeds 10000"),
+        ("orbit --n 3 --label q0 --iters 10001", "--iters <= 10000"),
+    ],
+)
+def test_size_bounds_exit_2_past_their_limit(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--prime", "5")
     assert code == 0

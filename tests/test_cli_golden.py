@@ -12,10 +12,10 @@ import pytest
 from wpdcert.cli import main
 
 GOLDEN = [
-    ("certify --n 2 --depth 8 --prime 7", 0, "5f417708908b39441cc46e6748dbbef4df33741c1fa067a306f6a146e9228976"),
+    ("certify --n 2 --depth 8 --prime 7", 0, "e41718b2b2bbbe14c4a5d0b375682315ce8ac6f1290836864a9bb6363c616cf3"),
     ("certify --n 2 --depth 8 --prime 7 --format csv", 0, "dc3ee8af11e7ed4da7cecf803d301bf508f7c7972dfadb3a6cdc0d25f5fd24d8"),
-    ("certify --n 3 --depth 12", 0, "6e8c82cfc15463c98f35445680d580f212241700ac2cf0ea0af9d8543cf1104f"),
-    ("certify --n 2 --depth 8 --eps 0.2", 0, "0c57e23c258a13c15236534cfe743d62d50fcc35acc56faa6cade4c8f886d81b"),
+    ("certify --n 3 --depth 12", 0, "9aa985899f4067c2613e7a540ae2029179b102023b8b45ca34df903c7ff849de"),
+    ("certify --n 2 --depth 8 --eps 0.2", 0, "32b488eb7ea53ff2ccc0e6169e9d0d92e6649aa3caef13f67f44662d18e79bb6"),
     ("axis --n 2 --depth 4", 0, "f2dbdfb266eeabc7c122ee546a08933ab3155049713930d212b9b57a0cd72082"),
     ("axis --n 2 --depth 4 --format csv", 0, "868e4ab98e66cf468c3f354ad0a88238c51304608197c10683414c3774c09e34"),
     ("orbit --n 3 --label q0 --iters 4", 0, "2fcc2e12c6ae186204ededc7c813d93c771c3bc5e747fbbb0eca0673c38b178e"),

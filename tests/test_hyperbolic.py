@@ -8,6 +8,7 @@ import pytest
 import oracles
 from wpdcert.action import axis_classes
 from wpdcert.hyperbolic import (
+    MAX_EXPONENT,
     check_point,
     DELTA,
     GeodesicSpec,
@@ -316,6 +317,16 @@ def test_wpd_exponents_verified_and_minimal_side():
     inner = Tube(-1.0 - eps, 1.0 + eps, eta / 3.0)
     assert tube_traverses(outer, inner)
     assert n_exp >= 1 and m_exp >= 1
+
+
+def test_wpd_exponents_refused_past_float_resolution():
+    # in the nesting regime N = ceil(1.2 / L): near 2^52 a float still tells
+    # N from N - 1; near 2^54 it does not, and the exponents are refused
+    n_exp, m_exp = wpd_exponents(0.1, 0.9, 1.2 / 2**52, -1.0, 1.0, 0.0)
+    assert 2**52 <= n_exp == m_exp <= MAX_EXPONENT == 2**53
+    for L in (1.2 / 2**54, 1e-300):
+        with pytest.raises(ValueError, match=r"exceed 2\*\*53"):
+            wpd_exponents(0.1, 0.9, L, -1.0, 1.0, 0.0)
 
 
 def test_wpd_exponents_monotone_in_eta():
