@@ -104,10 +104,12 @@ def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
         family = label.family
         if family == FAMILY_ANON or label.context_n != n:
             raise ActionDomainError(f"class touches label {label} outside the n={n} action")
+        # family and n were just checked and the index stays >= 0, so the
+        # shifted label skips PointLabel's validation
         if family == other_family:
-            out[PointLabel(family, label.index + step, n)] = coeff
+            out[tuple.__new__(PointLabel, (family, label.index + step, n))] = coeff
         elif label.index >= step:
-            out[PointLabel(family, label.index - step, n)] = coeff
+            out[tuple.__new__(PointLabel, (family, label.index - step, n))] = coeff
         else:
             low_block[label.index] = coeff
     if low_block:

@@ -36,6 +36,9 @@ BOUNDARY_TOL = 1e-12
 
 _MAX_BRUTEFORCE_CANDIDATES = 500_000_000
 
+#: largest symbolic Fix set n^2 - 1 that is listed; it admits n = 100 (9999 maps)
+MAX_FIX_MAPS = 10_000
+
 
 class ParameterError(ValueError):
     """Invalid certification parameters (CLI exit code 2)."""
@@ -174,12 +177,15 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
 
     Over F_p the list holds the p-rational roots (all n^2 - 1 of them iff
     p = 1 mod n^2 - 1); without a prime, root-of-unity exponent pairs are
-    returned since Q itself lacks the roots.
+    returned since Q itself lacks the roots; more than MAX_FIX_MAPS of them
+    are refused with a ParameterError.  Over F_p at most p - 1 maps are listed.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
     m = n * n - 1
     if p is None:
+        if m > MAX_FIX_MAPS:
+            raise ParameterError(f"symbolic Fix set size n^2 - 1 = {m} exceeds {MAX_FIX_MAPS}; lower n")
         return [RootExponentMap(m, k, n * k % m) for k in range(m)]
     field = _fix_field(n, p)
     return [affine_map(field, a, 0, pow(a, n, p), 0) for a in field.roots_of_unity(m)]

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -27,30 +26,37 @@ FAMILY_ANON = "anon"
 _LABEL_RE = re.compile(r"^([pq])(\d+)@n(\d+)$|^anon(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class PointLabel:
+class _LabelFields(NamedTuple):
+    family: str
+    index: int
+    context_n: Optional[int] = None
+
+
+class PointLabel(_LabelFields):
     """Identifier of an exceptional class.
 
     Family "p"/"q" labels carry the tower index and the parameter n of the
     map they belong to; "anon" labels stand for hypothetical base points and
     never collide with the p/q families.
+
+    A label is the tuple (family, index, context_n): hashing, equality and
+    ordering are tuple's own, so a label equals the plain tuple of its fields.
     """
 
-    family: str
-    index: int
-    context_n: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family in (FAMILY_P, FAMILY_Q):
-            if self.context_n is None or self.context_n < 2:
+    def __new__(cls, family: str, index: int, context_n: Optional[int] = None):
+        if family in (FAMILY_P, FAMILY_Q):
+            if context_n is None or context_n < 2:
                 raise ValueError("p/q labels need a context n >= 2")
-        elif self.family == FAMILY_ANON:
-            if self.context_n is not None:
+        elif family == FAMILY_ANON:
+            if context_n is not None:
                 raise ValueError("anonymous labels carry no context n")
         else:
-            raise ValueError(f"unknown label family {self.family!r}")
-        if self.index < 0:
+            raise ValueError(f"unknown label family {family!r}")
+        if index < 0:
             raise ValueError("label index must be a natural number")
+        return tuple.__new__(cls, (family, index, context_n))
 
     def __str__(self):
         if self.family == FAMILY_ANON:
@@ -91,13 +97,15 @@ class PMClass:
     def __init__(self, ell: Rational = 0, exc: Union[Mapping[PointLabel, Rational], Iterable[Tuple[PointLabel, Rational]], None] = None):
         object.__setattr__(self, "ell", Fraction(ell))
         items = exc.items() if isinstance(exc, Mapping) else (exc or ())
-        clean = {}
+        terms = []
         for label, coeff in items:
+            if not isinstance(label, PointLabel):
+                raise TypeError(f"class keys must be PointLabel, not {type(label).__name__}")
             coeff = Fraction(coeff)
             if coeff:
-                clean[label] = clean.get(label, Fraction(0)) + coeff
-                if not clean[label]:
-                    del clean[label]
+                terms.append((label, coeff))
+        clean = {}
+        _accumulate(clean, terms)
         object.__setattr__(self, "exc", clean)
 
     def __setattr__(self, name, value):

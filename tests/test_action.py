@@ -15,7 +15,7 @@ from wpdcert.action import (
     henon_act,
     orbit_label,
 )
-from wpdcert.lattice import PMClass, anon_label, exceptional, intersect, line_class, p_label, q_label
+from wpdcert.lattice import PMClass, PointLabel, anon_label, exceptional, intersect, line_class, p_label, q_label
 from wpdcert.polymaps import degree, henon_map
 
 
@@ -237,3 +237,13 @@ def test_act_once_domain_errors_kept():
         henon_act(2, wrong_n, -1)
     with pytest.raises(ActionDomainError, match="non-aggregate"):
         henon_act(2, lone_low, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_shifted_labels_are_point_labels(n):
+    # a plain tuple key compares equal to its label, so only the type tells them apart
+    for depth in (1, 4, 20):
+        ax = axis_classes(n, depth)
+        classes = [ax.b_plus, ax.b_minus, ax.r, ax.w_scaled, *ax.w_orbit(2).values()]
+        for c in classes:
+            assert all(type(label) is PointLabel for label in c.exc)

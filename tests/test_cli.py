@@ -161,6 +161,8 @@ def test_tube_exponents_past_float_resolution_exits_2(capsys):
     [
         "certify --n 3 --depth 999",  # support 2(2n-1)(depth+1) = 10000, the bound
         "orbit --n 3 --label q0 --iters 10000",
+        "certify --n 100 --depth 2",  # n^2 - 1 = 9999 symbolic Fix-set maps
+        "oracle --n 101 --prime 5",  # over F_p at most p - 1 maps
     ],
 )
 def test_size_bounds_admit_their_limit(capsys, argv):
@@ -177,6 +179,7 @@ def test_size_bounds_admit_their_limit(capsys, argv):
         ("certify --n 2 --depth 100000", "= 600006 exceeds 10000"),
         ("certify --n 5000 --depth 2", "= 59994 exceeds 10000"),
         ("orbit --n 3 --label q0 --iters 10001", "--iters <= 10000"),
+        ("certify --n 101 --depth 2", "= 10200 exceeds 10000"),
     ],
 )
 def test_size_bounds_exit_2_past_their_limit(capsys, argv, message):

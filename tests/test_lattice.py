@@ -1,5 +1,8 @@
 """Exact intersection-form arithmetic on sparse classes."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,12 +98,50 @@ def test_label_identity_rules():
     assert p_label(3, 2) != p_label(3, 3)
     assert p_label(3, 2) != q_label(3, 2)
     assert anon_label(3) != p_label(3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p/q labels need a context n >= 2"):
         PointLabel("p", 1)  # missing context
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="anonymous labels carry no context n"):
         PointLabel("anon", 1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="label index must be a natural number"):
         PointLabel("p", -1, 2)
+
+
+def test_label_hash_and_equality_are_tuple_builtins():
+    assert PointLabel.__hash__ is tuple.__hash__
+    assert PointLabel.__eq__ is tuple.__eq__
+    assert p_label(3, 2) == ("p", 3, 2) and hash(p_label(3, 2)) == hash(("p", 3, 2))
+
+
+def test_label_order_is_field_order():
+    labels = [p_label(i, n) for i in range(4) for n in (2, 3)]
+    labels += [q_label(i, n) for i in range(4) for n in (2, 5)] + [anon_label(i) for i in range(4)]
+    random.Random(11).shuffle(labels)
+    expected = sorted(labels, key=lambda lab: (lab.family, lab.index, lab.context_n or 0))
+    assert sorted(labels) == expected
+
+
+def test_label_str_repr_and_immutability():
+    label = q_label(12, 3)
+    assert str(label) == "q12@n3" and str(anon_label(7)) == "anon7"
+    assert repr(p_label(3, 2)) == "PointLabel(family='p', index=3, context_n=2)"
+    assert repr(anon_label(7)) == "PointLabel(family='anon', index=7, context_n=None)"
+    with pytest.raises(AttributeError):
+        label.index = 4
+    with pytest.raises(AttributeError):
+        label.extra = 1
+
+
+def test_label_pickle_and_deepcopy_roundtrip():
+    for label in (p_label(0, 2), q_label(12, 3), anon_label(7)):
+        for twin in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
+            assert twin == label and type(twin) is PointLabel
+
+
+def test_class_keys_must_be_labels():
+    with pytest.raises(TypeError, match="PointLabel"):
+        PMClass(0, {("p", 1, 2): 1})
+    with pytest.raises(TypeError, match="PointLabel"):
+        PMClass(0, [(p_label(1, 2), 1), (("p", 1, 2), 1)])
 
 
 def test_label_parse_roundtrip():
