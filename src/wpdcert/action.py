@@ -18,7 +18,7 @@ float conversions downstream sum in dict order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -138,27 +138,20 @@ def henon_act(n: int, c: PMClass, power: int) -> PMClass:
     return c
 
 
-@dataclass(frozen=True)
-class AxisData:
+class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_sq tail_norm_sq")):
     """Truncated axis data of the shift map, all coefficients exact.
 
     b_plus/b_minus are the truncations of the ideal endpoint classes, r the
     truncation of the combined orbit series, and w_scaled the projection of l
     onto the axis times sqrt(2): w_scaled = 2*l - r, so that every stored
-    coefficient stays rational.  Intersections of true axis classes follow by
-    scaling:  w.w = (w_scaled.w_scaled)/2,  w.l = (w_scaled.l)/sqrt(2); the
-    exact w.w is paired once and kept as w_norm_sq.
-    tail_norm_sq = 2*n^(-2*depth-2) bounds the discarded tail of r exactly.
+    coefficient stays rational (all four are PMClass).  Intersections of true
+    axis classes follow by scaling:  w.w = (w_scaled.w_scaled)/2,
+    w.l = (w_scaled.l)/sqrt(2); the exact w.w is paired once and kept as the
+    Fraction w_norm_sq.  The Fraction tail_norm_sq = 2*n^(-2*depth-2) bounds
+    the discarded tail of r exactly.
     """
 
-    n: int
-    depth: int
-    b_plus: PMClass
-    b_minus: PMClass
-    r: PMClass
-    w_scaled: PMClass
-    w_norm_sq: Fraction
-    tail_norm_sq: Fraction
+    __slots__ = ()
 
     def w_orbit(self, reach: int) -> Dict[int, PMClass]:
         """h^k(w_scaled) for k = -reach..reach, walked outward one step at a time.

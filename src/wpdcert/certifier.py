@@ -16,11 +16,10 @@ quantities are rational and stated tolerances elsewhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import _bruteforce
 from .action import AxisData, axis_classes
 from .fields import PrimeField
 from .lattice import PMClass, intersect
@@ -35,6 +34,10 @@ ACOSH_SQRT2 = math.acosh(SQRT2)
 BOUNDARY_TOL = 1e-12
 
 _MAX_BRUTEFORCE_CANDIDATES = 500_000_000
+
+#: largest n of the Fix-set search, whose generic conjugation grows about
+#: quadratically in n: `oracle --n 500 --prime 149` takes about 0.9 s
+_MAX_BRUTEFORCE_N = 500
 
 #: largest symbolic Fix set n^2 - 1 that is listed; it admits n = 100 (9999 maps)
 MAX_FIX_MAPS = 10_000
@@ -53,18 +56,16 @@ def kernel_name() -> str:
 # tolerance window and degree bound
 
 
-@dataclass(frozen=True)
-class StarWindow:
+class StarWindow(namedtuple("StarWindow", "n eps_max chosen_eps")):
     """Admissible tolerance window for a given n.
 
     eps_max = argcosh(sqrt(2) + 1/(n sqrt(2))) - argcosh(sqrt(2)); any
     chosen_eps in (0, eps_max] keeps the three window inequalities valid
-    (the first one with equality at the right endpoint).
+    (the first one with equality at the right endpoint).  Fields: n (int),
+    eps_max and chosen_eps (float).
     """
 
-    n: int
-    eps_max: float
-    chosen_eps: float
+    __slots__ = ()
 
     def checks(self) -> dict:
         deg2_threshold = math.acosh(SQRT2 + 1.0 / (self.n * SQRT2))
@@ -197,9 +198,15 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     Independent oracle for the Fix set: keeps candidates whose generic
     conjugates by the shift map pass the degree-1 and base-point checks (see
     _bruteforce), derived once by generic conjugation over F_p[a, b, c, d].
+    n past _MAX_BRUTEFORCE_N and p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES
+    are refused with a ParameterError.
     """
+    from . import _bruteforce  # here, so that certify without a prime never loads the kernel
+
     if n < 2:
         raise ParameterError("need n >= 2")
+    if n > _MAX_BRUTEFORCE_N:
+        raise ParameterError(f"brute-force search needs n <= {_MAX_BRUTEFORCE_N}, got n = {n}")
     field = _fix_field(n, p)
     if oracle_count(p) > _MAX_BRUTEFORCE_CANDIDATES:
         raise ParameterError(f"brute-force search over F_{p} is infeasible")
@@ -278,22 +285,16 @@ def fix_monotonicity_check(
 # full pipeline
 
 
-@dataclass
-class CertReport:
+class CertReport(namedtuple("CertReport", "n depth prime sections verdicts fix_symbolic fix_bruteforce")):
     """Result of the certification pipeline.
 
     ``sections`` holds the report body in report order with raw values; each
     check carries its own ``ok``, and ``verdicts`` is read from those same
-    booleans.  ``fix_symbolic`` and ``fix_bruteforce`` keep the map objects.
+    booleans.  ``fix_symbolic`` and ``fix_bruteforce`` keep the map objects
+    (``fix_bruteforce`` and ``prime`` are None without a prime).
     """
 
-    n: int
-    depth: int
-    prime: Optional[int]
-    sections: dict
-    verdicts: dict
-    fix_symbolic: list
-    fix_bruteforce: Optional[List[PolyMap]]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -6,6 +6,9 @@ The verdict is ``passed`` for certify, ``match`` for oracle and ``traverses``
 for a tube traversal.  JSON is the canonical format; CSV flattens the tabular
 sections.  Reals are printed with 12 significant digits, rationals exactly,
 so output is byte-stable.
+
+Each command imports the layers it uses when it runs, so that a query such as
+``orbit`` or ``tube`` does not pay for loading the certifier.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import certifier, hyperbolic, report
-from .action import axis_classes, orbit_label
-from .certifier import ParameterError
 from .lattice import PointLabel, intersect, line_class, parse_label
 
 
@@ -49,7 +49,7 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ParameterError(f"cannot write --output: {exc}") from exc
+            raise ValueError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
@@ -81,6 +81,8 @@ def _fix_rows(symbolic, bruteforce):
 
 
 def _cmd_certify(args) -> int:
+    from . import certifier
+
     rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps)
     payload = rep.to_json_dict()
     rows = _fix_rows(payload["fix_set"]["symbolic"], payload["fix_set"]["bruteforce"])
@@ -88,6 +90,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_axis(args) -> int:
+    from . import report
+    from .action import axis_classes
+
     axis = axis_classes(args.n, args.depth)
     payload = report.to_json(
         {
@@ -119,8 +124,10 @@ def _parse_orbit_label(text: str, n: int) -> PointLabel:
 
 
 def _cmd_orbit(args) -> int:
+    from .action import orbit_label
+
     if not 1 <= args.iters <= MAX_ORBIT_ITERS:
-        raise ParameterError(f"need 1 <= --iters <= {MAX_ORBIT_ITERS}")
+        raise ValueError(f"need 1 <= --iters <= {MAX_ORBIT_ITERS}")
     label = _parse_orbit_label(args.label, args.n)
     direction = 1 if label.family == "q" else -1
     entries = []
@@ -133,6 +140,9 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import report
+    from .action import axis_classes
+
     axis = axis_classes(args.n, args.depth)
     w_norm_sq = axis.w_norm_sq
     cosh_sq = Fraction(2) / w_norm_sq
@@ -140,10 +150,12 @@ def _cmd_geodesic(args) -> int:
         "n": args.n,
         "depth": args.depth,
         "distance_l_to_axis": math.acosh(math.sqrt(float(cosh_sq))),
-        "expected": certifier.ACOSH_SQRT2,
+        "expected": math.acosh(math.sqrt(2.0)),
         "cosh_sq_exact": cosh_sq,
     }
     if args.t is not None:
+        from . import hyperbolic
+
         ell = hyperbolic.as_vector(line_class())
         w_hat = hyperbolic.as_vector(axis.w_scaled) * (1.0 / math.sqrt(float(w_norm_sq) * 2.0))
         point = hyperbolic.geodesic_point(ell, w_hat, args.t)
@@ -155,18 +167,16 @@ def _cmd_geodesic(args) -> int:
     return _emit(report.to_json(payload), args)
 
 
-def _tube_json(t: hyperbolic.Tube) -> dict:
-    return {"lo": t.lo, "hi": t.hi, "end_radius": t.end_radius}
-
-
 def _cmd_tube(args) -> int:
+    from . import hyperbolic, report
+
     modes = [args.z is not None, args.inner_lo is not None, args.exponents]
     if sum(modes) != 1:
-        raise ParameterError("pick exactly one tube mode: --z, --inner-*, or --exponents")
+        raise ValueError("pick exactly one tube mode: --z, --inner-*, or --exponents")
     if args.exponents:
         needed = (args.eps, args.eta, args.length, args.zlo, args.zhi, args.w)
         if any(v is None for v in needed):
-            raise ParameterError("--exponents needs --eps --eta --length --zlo --zhi --w")
+            raise ValueError("--exponents needs --eps --eta --length --zlo --zhi --w")
         n_exp, m_exp = hyperbolic.wpd_exponents(args.eps, args.eta, args.length, args.zlo, args.zhi, args.w)
         payload = {
             "exponents": {"N": n_exp, "M": m_exp},
@@ -180,20 +190,22 @@ def _cmd_tube(args) -> int:
         }
         return _emit(report.to_json(payload), args)
     if None in (args.lo, args.hi, args.radius):
-        raise ParameterError("tube queries need --lo --hi --radius")
+        raise ValueError("tube queries need --lo --hi --radius")
     outer = hyperbolic.Tube(args.lo, args.hi, args.radius)
     if args.z is not None:
-        payload = {"tube": _tube_json(outer), "z": args.z, "radius": hyperbolic.tube_radius(outer, args.z)}
+        payload = {"tube": outer._asdict(), "z": args.z, "radius": hyperbolic.tube_radius(outer, args.z)}
         return _emit(report.to_json(payload), args)
     if None in (args.inner_hi, args.inner_radius):
-        raise ParameterError("traversal queries need --inner-lo --inner-hi --inner-radius")
+        raise ValueError("traversal queries need --inner-lo --inner-hi --inner-radius")
     inner = hyperbolic.Tube(args.inner_lo, args.inner_hi, args.inner_radius)
     traverses = hyperbolic.tube_traverses(outer, inner)
-    payload = {"outer": _tube_json(outer), "inner": _tube_json(inner), "traverses": traverses}
+    payload = {"outer": outer._asdict(), "inner": inner._asdict(), "traverses": traverses}
     return _emit(report.to_json(payload), args, passed=traverses)
 
 
 def _cmd_oracle(args) -> int:
+    from . import certifier, report
+
     symbolic = certifier.fix_set_symbolic(args.n, args.prime)
     brute = certifier.fix_set_bruteforce(args.n, args.prime)
     match = symbolic == brute

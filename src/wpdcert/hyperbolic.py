@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Hashable, Mapping, Tuple, Union
 
 from .lattice import PMClass
@@ -98,13 +98,27 @@ def distance(x: VectorLike, y: VectorLike) -> float:
 
 
 def geodesic_point(x: VectorLike, y: VectorLike, t: float) -> HVec:
-    """Point at arclength t along the unit-speed geodesic from x toward y."""
+    """Point at arclength t along the unit-speed geodesic from x toward y.
+
+    A t that is not finite, or whose point has a squared Euclidean norm past
+    the float range (so that its pairings could overflow), is refused with a
+    ValueError.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"arclength t = {t} is not finite")
     xv, yv = as_vector(x), as_vector(y)
     d = distance(xv, yv)
     if d == 0.0:
         raise ValueError("geodesic direction undefined for coincident points")
     u = (yv - xv * math.cosh(d)) * (1.0 / math.sinh(d))
-    return xv * math.cosh(t) + u * math.sinh(t)
+    try:
+        point = xv * math.cosh(t) + u * math.sinh(t)
+        norm_sq = point.ell * point.ell + sum(v * v for v in point.exc.values())
+    except OverflowError:  # cosh and sinh overflow past |t| ~ 710
+        norm_sq = math.inf
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"the geodesic point at arclength t = {t} overflows floats")
+    return point
 
 
 class GeodesicSpec:
@@ -157,25 +171,23 @@ def quad_fourth_side(d_dc: float, d_cb: float) -> float:
     return math.atanh(arg)
 
 
-@dataclass(frozen=True)
-class Tube:
+class Tube(namedtuple("Tube", "lo hi end_radius")):
     """Geodesic tube along a reference geodesic, in arclength coordinates.
 
     Ends at lo and hi (hi > lo) with the same end radius; the radius profile
     between the ends follows tanh r(z) = tanh(end_radius) * cosh(z - mid) / cosh(half).
     """
 
-    lo: float
-    hi: float
-    end_radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.lo, self.hi, self.end_radius))):
+    def __new__(cls, lo: float, hi: float, end_radius: float):
+        if not all(map(math.isfinite, (lo, hi, end_radius))):
             raise ValueError("tube ends and radius must be finite")
-        if not self.hi > self.lo:
+        if not hi > lo:
             raise ValueError("tube needs hi > lo")
-        if self.end_radius < 0:
+        if end_radius < 0:
             raise ValueError("tube radius must be nonnegative")
+        return tuple.__new__(cls, (lo, hi, end_radius))
 
 
 def tube_radius(t: Tube, z: float) -> float:

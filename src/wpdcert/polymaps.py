@@ -7,7 +7,7 @@ tiny, so clarity wins over asymptotics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -193,17 +193,15 @@ def serialize_map(f: PolyMap) -> dict:
     return {"field": f.field.tag, "map": str(f)}
 
 
-@dataclass(frozen=True, order=True)
-class RootExponentMap:
+class RootExponentMap(namedtuple("RootExponentMap", "modulus a_exp c_exp")):
     """Diagonal map (zeta^a_exp x, zeta^c_exp y), zeta a primitive root of unity.
 
     Symbolic form of a Fix-set element over Q, where the roots of unity are
     not rational; modulus is n^2 - 1 and c_exp = n * a_exp (mod modulus).
+    Maps order as the tuple (modulus, a_exp, c_exp).
     """
 
-    modulus: int
-    a_exp: int
-    c_exp: int
+    __slots__ = ()
 
     def __str__(self):
         m = self.modulus

@@ -82,6 +82,29 @@ def test_geodesic_report(capsys):
     assert data["point_at_t"]["distance_from_l"] == "0.4"
 
 
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("nan", "is not finite"),
+        ("inf", "is not finite"),
+        ("-inf", "is not finite"),
+        ("700", "overflows floats"),  # the point's self-pairing overflowed to nan
+        ("711", "overflows floats"),  # cosh(t) itself overflows
+        ("-711", "overflows floats"),
+    ],
+)
+def test_geodesic_point_past_float_range_exits_2(capsys, t, message):
+    code, out, err = run_cli(capsys, "geodesic", "--n", "2", "--depth", "20", f"--t={t}")
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_geodesic_point_near_float_range_is_finite(capsys):
+    code, out, err = run_cli(capsys, "geodesic", "--n", "2", "--depth", "20", "--t", "350")
+    assert code == 0 and err == ""
+    assert all(math.isfinite(float(v)) for v in json.loads(out)["point_at_t"].values())
+
+
 def test_tube_queries(capsys):
     code, out, _ = run_cli(capsys, "tube", "--lo", "0", "--hi", "2", "--radius", "0.4", "--z", "1.0")
     assert code == 0
@@ -163,6 +186,7 @@ def test_tube_exponents_past_float_resolution_exits_2(capsys):
         "orbit --n 3 --label q0 --iters 10000",
         "certify --n 100 --depth 2",  # n^2 - 1 = 9999 symbolic Fix-set maps
         "oracle --n 101 --prime 5",  # over F_p at most p - 1 maps
+        "oracle --n 500 --prime 7",  # the largest n of the Fix-set search
     ],
 )
 def test_size_bounds_admit_their_limit(capsys, argv):
@@ -180,6 +204,8 @@ def test_size_bounds_admit_their_limit(capsys, argv):
         ("certify --n 5000 --depth 2", "= 59994 exceeds 10000"),
         ("orbit --n 3 --label q0 --iters 10001", "--iters <= 10000"),
         ("certify --n 101 --depth 2", "= 10200 exceeds 10000"),
+        ("oracle --n 501 --prime 7", "needs n <= 500, got n = 501"),
+        ("oracle --n 100000 --prime 7", "needs n <= 500, got n = 100000"),
     ],
 )
 def test_size_bounds_exit_2_past_their_limit(capsys, argv, message):
