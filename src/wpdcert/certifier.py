@@ -343,6 +343,9 @@ def certify(
                 f"pick p = 1 (mod {m})"
             )
 
+    # the axis refuses an n past its support bound before the float window
+    # would overflow on it
+    axis = axis_classes(n, depth)
     star = epsilon_window(n, eps)
     checks = star.checks()
     star_window = {
@@ -354,7 +357,6 @@ def certify(
     dbound = degree_bound(n, star.chosen_eps)
     degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
 
-    axis = axis_classes(n, depth)
     w_norm_sq = axis.w_norm_sq
     tail_exp = Fraction(1, n ** (2 * depth + 2))
     axis_facts = {

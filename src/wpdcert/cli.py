@@ -159,10 +159,12 @@ def _cmd_geodesic(args) -> int:
         ell = hyperbolic.as_vector(line_class())
         w_hat = hyperbolic.as_vector(axis.w_scaled) * (1.0 / math.sqrt(float(w_norm_sq) * 2.0))
         point = hyperbolic.geodesic_point(ell, w_hat, args.t)
+        # B(p, p) cancels terms of size |p|^2, so its error is relative to that
+        norm_sq = point.ell * point.ell + sum(v * v for v in point.exc.values())
         payload["point_at_t"] = {
             "t": args.t,
             "distance_from_l": hyperbolic.distance(ell, point),
-            "unit_norm_error": abs(hyperbolic.mdot(point, point) - 1.0),
+            "unit_norm_error": abs(hyperbolic.mdot(point, point) - 1.0) / norm_sq,
         }
     return _emit(report.to_json(payload), args)
 
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default=20):
+    def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report to this path instead of stdout")
         return p

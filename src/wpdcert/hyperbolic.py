@@ -1,4 +1,4 @@
-"""Hyperboloid-model geometry: distances, geodesics, projections, tubes.
+"""Hyperboloid-model geometry: distances, geodesics, tubes.
 
 Points are unit-norm vectors for the Minkowski-like form
 B(x, y) = x.ell * y.ell - sum_k x[k] * y[k]  with  cosh dist(x, y) = B(x, y).
@@ -15,10 +15,10 @@ from typing import Hashable, Mapping, Tuple, Union
 
 from .lattice import PMClass
 
-#: hyperbolicity constant of the hyperbolic plane, log(1 + sqrt(2))
-DELTA = math.log(1.0 + math.sqrt(2.0))
-
 _UNIT_TOL = 1e-9
+
+#: slack of the traversal comparison, which compares two float radii
+_TRAVERSE_TOL = 1e-12
 
 #: largest displacement exponent whose neighbours are floats: past 2**53 a
 #: float no longer tells N from N - 1, so no minimality can be verified there
@@ -81,14 +81,6 @@ def mdot(x: VectorLike, y: VectorLike) -> float:
     return total
 
 
-def check_point(x: VectorLike, tol: float = 1e-12) -> HVec:
-    """Validate the point invariant: B(x, x) = 1 within tol, positive ell."""
-    xv = as_vector(x)
-    if abs(mdot(xv, xv) - 1.0) > tol or xv.ell <= 0:
-        raise ValueError("not a unit timelike vector with positive ell-coefficient")
-    return xv
-
-
 def distance(x: VectorLike, y: VectorLike) -> float:
     """Hyperbolic distance: argcosh of the pairing of two unit timelike points."""
     b = mdot(x, y)
@@ -119,43 +111,6 @@ def geodesic_point(x: VectorLike, y: VectorLike, t: float) -> HVec:
     if not math.isfinite(norm_sq):
         raise ValueError(f"the geodesic point at arclength t = {t} overflows floats")
     return point
-
-
-class GeodesicSpec:
-    """Geodesic given by its two ideal endpoint classes.
-
-    Endpoints must be (near-)null with positive ell-coefficient; they are
-    rescaled so that B(plus, minus) = 1.
-    """
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, ideal_plus: VectorLike, ideal_minus: VectorLike, null_tol: float = 1e-6):
-        plus, minus = as_vector(ideal_plus), as_vector(ideal_minus)
-        for end in (plus, minus):
-            if end.ell <= 0:
-                raise ValueError("ideal endpoints need a positive ell-coefficient")
-            if abs(mdot(end, end)) > null_tol:
-                raise ValueError("ideal endpoints must be null (within tolerance)")
-        pairing = mdot(plus, minus)
-        if pairing <= 0:
-            raise ValueError("ideal endpoints must pair positively")
-        self.plus = plus
-        self.minus = minus * (1.0 / pairing)
-
-    def point(self, t: float) -> HVec:
-        """Unit-speed parameterization (e^t * plus + e^-t * minus)/sqrt(2)."""
-        return (self.plus * math.exp(t) + self.minus * math.exp(-t)) * (1.0 / math.sqrt(2.0))
-
-
-def project_to_geodesic(x: VectorLike, g: GeodesicSpec) -> HVec:
-    """Closest point of the geodesic: ((x.b-)b+ + (x.b+)b-)/sqrt(2(x.b+)(x.b-))."""
-    xv = as_vector(x)
-    a = mdot(xv, g.plus)
-    b = mdot(xv, g.minus)
-    if a <= 0 or b <= 0:
-        raise ValueError("point does not pair positively with both ideal endpoints")
-    return (g.plus * b + g.minus * a) * (1.0 / math.sqrt(2.0 * a * b))
 
 
 def quad_fourth_side(d_dc: float, d_cb: float) -> float:
@@ -211,13 +166,13 @@ def tube_radius(t: Tube, z: float) -> float:
     return math.atanh(arg)
 
 
-def tube_traverses(outer: Tube, inner: Tube, tol: float = 1e-12) -> bool:
+def tube_traverses(outer: Tube, inner: Tube) -> bool:
     """True iff the outer tube's radius at both inner ends is <= the inner radius."""
     if not (outer.lo <= inner.lo < inner.hi <= outer.hi):
         raise ValueError("inner tube ends must be nested inside the outer tube")
     return (
-        tube_radius(outer, inner.lo) <= inner.end_radius + tol
-        and tube_radius(outer, inner.hi) <= inner.end_radius + tol
+        tube_radius(outer, inner.lo) <= inner.end_radius + _TRAVERSE_TOL
+        and tube_radius(outer, inner.hi) <= inner.end_radius + _TRAVERSE_TOL
     )
 
 

@@ -212,11 +212,6 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
     return c.ell * d.ell - Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
 
 
-def is_unit_timelike(c: PMClass) -> bool:
-    """True iff c.c = 1 and the l-coefficient is positive (l is the ample reference)."""
-    return c.ell > 0 and intersect(c, c) == 1
-
-
 def to_json_dict(c: PMClass) -> dict:
     """JSON form {"ell": "p/q", "exc": [{"label": ..., "coeff": "p/q"}, ...]}; output only."""
     return {

@@ -208,20 +208,6 @@ class RootExponentMap(namedtuple("RootExponentMap", "modulus a_exp c_exp")):
         return f"zeta{m}^{self.a_exp}*x; zeta{m}^{self.c_exp}*y"
 
 
-def identity_map(field=QQ) -> PolyMap:
-    return PolyMap(field, Poly2.variable(field, "x"), Poly2.variable(field, "y"))
-
-
-def coordinate_swap(field=QQ) -> PolyMap:
-    return PolyMap(field, Poly2.variable(field, "y"), Poly2.variable(field, "x"))
-
-
-def jonquieres_involution(n: int, field=QQ) -> PolyMap:
-    """(x, y) -> (y^n - x, y)."""
-    f = field
-    return PolyMap(f, Poly2(f, {(0, n): f.one, (1, 0): f.neg(f.one)}), Poly2.variable(f, "y"))
-
-
 def henon_map(n: int, field=QQ) -> PolyMap:
     """(x, y) -> (y, y^n - x), the degree-n shift map studied throughout."""
     if n < 2:

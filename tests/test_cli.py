@@ -1,12 +1,18 @@
 """Command-line front end: flags, formats, determinism, exit codes."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpdcert import certifier
 from wpdcert.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +109,15 @@ def test_geodesic_point_near_float_range_is_finite(capsys):
     code, out, err = run_cli(capsys, "geodesic", "--n", "2", "--depth", "20", "--t", "350")
     assert code == 0 and err == ""
     assert all(math.isfinite(float(v)) for v in json.loads(out)["point_at_t"].values())
+
+
+@pytest.mark.parametrize("t", ["0.4", "15", "20", "300", "-300", "354"])
+def test_geodesic_unit_norm_error_is_relative(capsys, t):
+    # B(p, p) - 1 over the point's squared Euclidean norm stays at rounding
+    # level; unscaled, it grew like cosh(t)^2 (27.1 at t = 20)
+    code, out, err = run_cli(capsys, "geodesic", "--n", "2", "--depth", "20", f"--t={t}")
+    assert code == 0 and err == ""
+    assert float(json.loads(out)["point_at_t"]["unit_norm_error"]) < 1e-14
 
 
 def test_tube_queries(capsys):
@@ -206,6 +221,7 @@ def test_size_bounds_admit_their_limit(capsys, argv):
         ("certify --n 101 --depth 2", "= 10200 exceeds 10000"),
         ("oracle --n 501 --prime 7", "needs n <= 500, got n = 501"),
         ("oracle --n 100000 --prime 7", "needs n <= 500, got n = 100000"),
+        (f"certify --n {10**400}", "exceeds 10000"),  # past the float range of the window
     ],
 )
 def test_size_bounds_exit_2_past_their_limit(capsys, argv, message):
@@ -279,3 +295,110 @@ def test_oracle_mismatch_exits_1(monkeypatch, capsys):
     data = json.loads(out)
     assert data["match"] is False
     assert data["cardinality"] == 2
+
+
+def _readme_cli_commands():
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = (line.split("#", 1)[0].split() for line in block.splitlines())
+    return [words[1:] for words in lines if words[:1] == ["wpdcert"]]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    json.loads(out)
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in _readme_cli_commands()} == {
+        "certify", "axis", "orbit", "geodesic", "tube", "oracle"
+    }
+
+
+# --- the exit-code contract on generated argv ---------------------------------
+
+# Valid values, small invalid ones, and huge ones only where they cost no work:
+# n or depth past the axis support bound (n past 500 for the Fix-set search,
+# while orbit only adds to label indices), --iters past 10000, and an even
+# --prime, which the primality test refuses at once.
+_HUGE = st.integers(10**4, 10**400)
+_FLOAT = st.one_of(
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-3", "0.1", "0.4", "2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-3.0, 3.0).map(repr),
+)
+_N = st.one_of(st.integers(2, 6), st.integers(-3, 12), _HUGE)
+_DEPTH = st.one_of(st.integers(2, 30), st.integers(-3, 40), _HUGE)
+_PRIME = st.one_of(st.sampled_from([5, 7, 13, 17, 19, 31, 37, 41]), st.integers(-7, 40), _HUGE.map(lambda k: 2 * k))
+_COMMANDS = {
+    "certify": {"n": _N, "depth": _DEPTH, "prime": _PRIME, "eps": st.one_of(st.floats(0.0, 0.3).map(repr), _FLOAT)},
+    "axis": {"n": _N, "depth": _DEPTH},
+    "orbit": {
+        "n": _N,
+        "label": st.sampled_from(["q0", "p0", "p3", "q7", "anon3", "q0@n2", "p1@n3", "q-1", "zz", "", "q" + "9" * 30]),
+        "iters": st.one_of(st.integers(-3, 12), _HUGE),
+    },
+    "geodesic": {"n": _N, "depth": _DEPTH, "t": _FLOAT},
+    "tube": {  # tenths from a range where most queries are well posed, or any float
+        name: st.one_of(st.integers(lo, hi).map(lambda k: repr(k / 10)), _FLOAT)
+        for name, (lo, hi) in {
+            "lo": (-30, 0), "hi": (1, 30), "radius": (0, 20), "z": (-30, 30),
+            "inner-lo": (-30, 0), "inner-hi": (1, 30), "inner-radius": (0, 20),
+            "eps": (0, 20), "eta": (1, 20), "length": (1, 20), "zlo": (-30, 0), "zhi": (1, 30), "w": (-30, 30),
+        }.items()
+    },
+    "oracle": {"n": _N, "prime": _PRIME},
+}
+_TUBE_MODES = [
+    ("lo", "hi", "radius", "z"),
+    ("lo", "hi", "radius", "inner-lo", "inner-hi", "inner-radius"),
+    ("exponents", "eps", "eta", "length", "zlo", "zhi", "w"),
+]
+
+
+@st.composite
+def _cli_argv(draw):
+    """(argv without --format, format): options in the --flag value or --flag=value form."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[command]
+    if command == "tube":
+        names = list(draw(st.sampled_from(_TUBE_MODES)))
+        names += draw(st.lists(st.sampled_from(sorted(options) + ["exponents"]), max_size=1))
+    else:  # a required option is left out one time in ten, any other half the time
+        required = {"n", "label"} | ({"prime"} if command == "oracle" else set())
+        names = [name for name in options if draw(st.integers(0, 9)) < (9 if name in required else 5)]
+    argv = [command]
+    for name in dict.fromkeys(names):
+        if name == "exponents":
+            argv.append("--exponents")
+            continue
+        value = str(draw(options[name]))
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+    return argv, draw(st.sampled_from(["json", "json", "csv", "xml"]))
+
+
+def _run_in_process(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            assert exc.code == 2
+            code = 2
+    return code, out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_argv())
+def test_generated_argv_keep_the_exit_code_contract(drawn):
+    argv, fmt = drawn
+    code, out = _run_in_process(argv + ["--format", fmt])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    if code == 1 and fmt == "csv":  # the verdict key is read from the JSON report
+        code, out = _run_in_process(argv)
+    if code == 1:
+        payload = json.loads(out)
+        assert False in (payload.get("passed"), payload.get("match"), payload.get("traverses"))

@@ -19,8 +19,8 @@ GOLDEN = [
     ("axis --n 2 --depth 4", 0, "f2dbdfb266eeabc7c122ee546a08933ab3155049713930d212b9b57a0cd72082"),
     ("axis --n 2 --depth 4 --format csv", 0, "868e4ab98e66cf468c3f354ad0a88238c51304608197c10683414c3774c09e34"),
     ("orbit --n 3 --label q0 --iters 4", 0, "2fcc2e12c6ae186204ededc7c813d93c771c3bc5e747fbbb0eca0673c38b178e"),
-    ("geodesic --n 2 --depth 20 --t 0.4", 0, "c8779d67b1bc2c9d9a9cce6cf4fd1febde2dd1829f73d06ba48d5169c1cb15ef"),
-    ("geodesic --n 2 --depth 20 --t 0.4 --format csv", 0, "305c8ace02d15d3709534336053515d811b511d2ec597a8b81899ab3654e0f01"),
+    ("geodesic --n 2 --depth 20 --t 0.4", 0, "276236fb381b2f051f1b773ea281a93fd1b2c1ec8caf857dcb443b0fe74dff30"),
+    ("geodesic --n 2 --depth 20 --t 0.4 --format csv", 0, "fd91aebfdfbca672ded4c29317cc247e79d2642aaae70ba31ada473f7590e959"),
     ("tube --lo 0 --hi 2 --radius 0.4 --z 1.0", 0, "d580675ba0af65801e8f3508364959e0cf6f47a893e086c6bce0e7e15ccd6c20"),
     (
         "tube --lo -1 --hi 3 --radius 0.3 --inner-lo 0 --inner-hi 2 --inner-radius 0.3",

@@ -1,4 +1,4 @@
-"""Hyperboloid geometry: distances, projections, quadrilaterals, tubes."""
+"""Hyperboloid geometry: distances, the axis projection, quadrilaterals, tubes."""
 
 import math
 import random
@@ -9,23 +9,19 @@ import oracles
 from wpdcert.action import axis_classes
 from wpdcert.hyperbolic import (
     MAX_EXPONENT,
-    check_point,
-    DELTA,
-    GeodesicSpec,
     HVec,
     Tube,
     as_vector,
     distance,
     geodesic_point,
     mdot,
-    project_to_geodesic,
     quad_fourth_side,
     traversal_offset,
     tube_radius,
     tube_traverses,
     wpd_exponents,
 )
-from wpdcert.lattice import line_class
+from wpdcert.lattice import intersect, line_class
 
 
 SQRT2 = math.sqrt(2.0)
@@ -43,25 +39,11 @@ def _random_timelike(rng, size=4):
     return HVec(ell, exc)
 
 
-def test_delta_constant():
-    assert abs(DELTA - 0.881373587) < 1e-9
-
-
 def test_distance_basics():
     x = _random_timelike(random.Random(1))
     assert distance(x, x) == 0.0
     with pytest.raises(ValueError):
         distance(HVec(0.5, {}), HVec(0.5, {}))
-
-
-def test_check_point_invariant():
-    check_point(line_class())
-    w_hat, _ = _normalized_axis_point(3, 20)
-    check_point(w_hat)
-    with pytest.raises(ValueError):
-        check_point(HVec(1.1, {}))
-    with pytest.raises(ValueError):
-        check_point(HVec(-1.0, {}))  # wrong time orientation
 
 
 def test_distance_line_to_projected_axis_point():
@@ -111,36 +93,16 @@ def test_geodesic_point_unit_speed():
         assert abs(distance(x, p) - abs(t)) < 1e-10
 
 
-def test_project_point_already_on_geodesic():
-    g = GeodesicSpec(HVec(1.0, {"u": 1.0}), HVec(1.0, {"u": -1.0}))
-    for t in (-1.0, 0.0, 2.0):
-        x = g.point(t)
-        assert abs(mdot(x, x) - 1.0) < 1e-12
-        p = project_to_geodesic(x, g)
-        assert distance(x, p) < 1e-8
-
-
 def test_projection_of_line_class_is_axis_point():
-    for n in (2, 3):
-        ax = axis_classes(n, 20)
-        g = GeodesicSpec(as_vector(ax.b_plus), as_vector(ax.b_minus))
-        proj = project_to_geodesic(line_class(), g)
-        assert abs(mdot(proj, proj) - 1.0) < 1e-10
-        assert abs(mdot(proj, line_class()) - SQRT2) < 1e-10  # alpha + beta = sqrt(2)
-        # the projection reproduces the truncated axis point coefficient by coefficient
-        expected = as_vector(ax.w_scaled) * (1.0 / SQRT2)
-        assert _vec_close(proj, expected, 1e-12)
-
-
-def test_projection_minimizes_distance():
-    rng = random.Random(4)
-    g = GeodesicSpec(HVec(1.0, {"u": 1.0}), HVec(1.0, {"u": -1.0}))
-    for _ in range(10):
-        x = _random_timelike(rng, size=2)
-        p = project_to_geodesic(x, g)
-        dp = distance(x, p)
-        for t in [k / 7.0 for k in range(-21, 22)]:
-            assert dp <= distance(x, g.point(t)) + 1e-12
+    # l.b+ = l.b- = b+.b- = 1 turns the projection formula
+    # ((x.b-) b+ + (x.b+) b-) / sqrt(2 (x.b+)(x.b-)) at x = l into
+    # (b+ + b-) / sqrt(2), which is w_scaled / sqrt(2) exactly
+    for n in (2, 3, 5, 7):
+        for depth in (2, 8, 20, 100):
+            ax = axis_classes(n, depth)
+            l_plus, l_minus = intersect(line_class(), ax.b_plus), intersect(line_class(), ax.b_minus)
+            assert l_plus == l_minus == intersect(ax.b_plus, ax.b_minus) == 1
+            assert ax.w_scaled == ax.b_plus + ax.b_minus
 
 
 def test_triangle_inequality():

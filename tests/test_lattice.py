@@ -14,7 +14,6 @@ from wpdcert.lattice import (
     anon_label,
     exceptional,
     intersect,
-    is_unit_timelike,
     line_class,
     p_label,
     parse_label,
@@ -48,13 +47,6 @@ def test_add_and_scale_canonical():
     assert (L * 2 - e_block) + e_block == L * 2
     # no explicit zeros survive
     assert q_label(0, 2) not in (EQ - EQ).exc
-
-
-def test_unit_timelike():
-    assert is_unit_timelike(L)
-    assert not is_unit_timelike(EP)
-    assert not is_unit_timelike(L * 2)  # norm 4
-    assert not is_unit_timelike(L * -1)  # wrong time orientation
 
 
 classes = st.builds(
