@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .lattice import (
-    FAMILY_ANON,
     FAMILY_P,
     FAMILY_Q,
     PMClass,
@@ -70,8 +69,6 @@ def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
     Powers move the q-family up by i*(2n-1) and the p-family down; a shift
     that would produce a negative index is outside the action's domain.
     """
-    if label.family == FAMILY_ANON:
-        raise ActionDomainError("anonymous labels are not in any orbit")
     if label.context_n != n:
         raise ActionDomainError(f"label {label} does not belong to the n={n} tower")
     step = 2 * n - 1
@@ -102,10 +99,10 @@ def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
     low_block = {}
     for label, coeff in c.exc.items():
         family = label.family
-        if family == FAMILY_ANON or label.context_n != n:
+        if label.context_n != n:
             raise ActionDomainError(f"class touches label {label} outside the n={n} action")
-        # family and n were just checked and the index stays >= 0, so the
-        # shifted label skips PointLabel's validation
+        # every label is p or q, n was just checked and the index stays >= 0,
+        # so the shifted label skips PointLabel's validation
         if family == other_family:
             out[tuple.__new__(PointLabel, (family, label.index + step, n))] = coeff
         elif label.index >= step:
@@ -166,6 +163,21 @@ class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_
                 c = henon_act(self.n, c, sign)
                 orbit[sign * k] = c
         return orbit
+
+    def gram(self) -> Tuple[Fraction, ...]:
+        """(g_0, .., g_4) with g_k = B(w_scaled, h^k w_scaled) and g_0 = 2 w_norm_sq.
+
+        The shift map is an isometry, so B(h^i w_scaled, h^j w_scaled) = g_(j-i):
+        g_1 .. g_4 are one exact pairing each of the points of w_orbit(2).
+        """
+        orbit = self.w_orbit(2)
+        return (
+            2 * self.w_norm_sq,
+            intersect(orbit[0], orbit[1]),
+            intersect(orbit[-1], orbit[1]),
+            intersect(orbit[-1], orbit[2]),
+            intersect(orbit[-2], orbit[2]),
+        )
 
 
 def axis_classes(n: int, depth: int) -> AxisData:

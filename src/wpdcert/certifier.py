@@ -15,14 +15,15 @@ quantities are rational and stated tolerances elsewhere:
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .action import AxisData, axis_classes
 from .fields import PrimeField
-from .lattice import PMClass, intersect
+from .lattice import intersect
 from .polymaps import PolyMap, RootExponentMap, affine_map
 from .report import to_json
 
@@ -133,7 +134,7 @@ def worst_case_intersection(n: int, deg: int, axis: AxisData) -> Fraction:
     if axis.depth < 2:
         raise ValueError("need axis truncation depth >= 2")
     mults = _MULTIPLICITIES[deg]
-    coeffs = sorted(axis.r.exc.values(), reverse=True)
+    coeffs = heapq.nlargest(len(mults), axis.r.exc.values())
     if len(coeffs) < len(mults):
         raise ValueError("truncation too shallow to host the assignment")
     return -sum((m * c for m, c in zip(mults, coeffs)), Fraction(0))
@@ -161,7 +162,13 @@ def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
 
 
 def _fix_field(n: int, p: int) -> PrimeField:
-    """F_p for a Fix set over n: p must be prime and must not divide n."""
+    """F_p for a Fix set over n: p must be prime and must not divide n.
+
+    p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES (p > 150) is refused first,
+    before the primality test, whose cost grows with p.
+    """
+    if oracle_count(p) > _MAX_BRUTEFORCE_CANDIDATES:
+        raise ParameterError(f"brute-force search over F_{p} is infeasible")
     field = PrimeField(p)  # raises on non-primes
     if n % p == 0:
         raise ParameterError("characteristic divides n")
@@ -179,7 +186,8 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
     Over F_p the list holds the p-rational roots (all n^2 - 1 of them iff
     p = 1 mod n^2 - 1); without a prime, root-of-unity exponent pairs are
     returned since Q itself lacks the roots; more than MAX_FIX_MAPS of them
-    are refused with a ParameterError.  Over F_p at most p - 1 maps are listed.
+    are refused with a ParameterError.  Over F_p at most p - 1 maps are listed,
+    and _fix_field refuses p past the search bound (p > 150).
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -199,7 +207,7 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     conjugates by the shift map pass the degree-1 and base-point checks (see
     _bruteforce), derived once by generic conjugation over F_p[a, b, c, d].
     n past _MAX_BRUTEFORCE_N and p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES
-    are refused with a ParameterError.
+    are refused with a ParameterError (the latter by _fix_field).
     """
     from . import _bruteforce  # here, so that certify without a prime never loads the kernel
 
@@ -208,8 +216,6 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     if n > _MAX_BRUTEFORCE_N:
         raise ParameterError(f"brute-force search needs n <= {_MAX_BRUTEFORCE_N}, got n = {n}")
     field = _fix_field(n, p)
-    if oracle_count(p) > _MAX_BRUTEFORCE_CANDIDATES:
-        raise ParameterError(f"brute-force search over F_{p} is infeasible")
     tuples = _bruteforce.enumerate_fix_candidates(n, p)
     return [affine_map(field, a, b, c, d) for (a, b, c, d) in sorted(tuples)]
 
@@ -230,11 +236,7 @@ def _gram_det(g: tuple, powers: tuple) -> Fraction:
     )
 
 
-def fix_monotonicity_check(
-    axis: AxisData,
-    orbit: Optional[Dict[int, PMClass]] = None,
-    g1: Optional[Fraction] = None,
-) -> dict:
+def fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     """Verify the convexity hypothesis behind the Fix-set inclusion chain, exactly.
 
     The five truncated axis points h^k(w), k = -2..2, must lie in order on a
@@ -245,33 +247,21 @@ def fix_monotonicity_check(
     is out of scope.
 
     The shift map is an isometry, so the Gram matrix of the orbit is Toeplitz
-    in g_k = B(w_scaled, h^k w_scaled): g_0 = 2 w.w, g_1 (the translation
-    pairing, paired from ``orbit`` unless given) and three further exact
-    pairings.  The points are ordered when g_0 < g_1 < g_2 < g_3 < g_4, and
-    h^j(w) lies at distance delta_j from the geodesic through h^-2(w) and
-    h^2(w) with sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix
-    of the ends and G3_j that of the ends and h^j(w).  The verdict needs
+    in g = (g_0, .., g_4), g_k = B(w_scaled, h^k w_scaled), as returned by
+    AxisData.gram; tail_norm_sq is the axis's exact tail bound.  The points
+    are ordered when g_0 < g_1 < g_2 < g_3 < g_4, and h^j(w) lies at
+    distance delta_j from the geodesic through h^-2(w) and h^2(w) with
+    sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix of the ends
+    and G3_j that of the ends and h^j(w).  The verdict needs
     sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction;
     ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq, as a
-    float for display only.  ``orbit`` maps k to h^k(w_scaled), as from
-    ``axis.w_orbit(2)`` (the default).
+    float for display only.
     """
-    if orbit is None:
-        orbit = axis.w_orbit(2)
-    if g1 is None:
-        g1 = intersect(orbit[0], orbit[1])
-    g = (
-        2 * axis.w_norm_sq,
-        g1,
-        intersect(orbit[-1], orbit[1]),
-        intersect(orbit[-1], orbit[2]),
-        intersect(orbit[-2], orbit[2]),
-    )
     ordered = all(g[k] < g[k + 1] for k in range(4))
     det2 = _gram_det(g, (-2, 2))
     ratio = None  # the ends coincide: no geodesic to measure against
     if det2:
-        scale = g[0] * det2 * axis.tail_norm_sq
+        scale = g[0] * det2 * tail_norm_sq
         ratio = max(-_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1))
     return {
         "mode": "exact",
@@ -390,12 +380,10 @@ def certify(
         "ok": abs(proj_dist - ACOSH_SQRT2) <= proj_tol,
     }
 
-    # translation length: cosh of the displacement of the normalized axis point;
-    # h^k(w) for k = -2..2 and the pairing g1 = w.h(w) are shared with the
-    # monotonicity check
-    orbit = axis.w_orbit(2)
-    g1 = intersect(axis.w_scaled, orbit[1])
-    cosh_ratio = g1 / (2 * w_norm_sq)
+    # translation length: cosh of the displacement of the normalized axis point,
+    # g_1 / g_0; the monotonicity check reads the same Gram sequence
+    g = axis.gram()
+    cosh_ratio = g[1] / g[0]
     expected_cosh = Fraction(n * n + 1, 2 * n)
     translation = {
         "cosh_value": cosh_ratio,
@@ -405,7 +393,7 @@ def certify(
         "ok": (cosh_ratio - expected_cosh) ** 2 <= 2 * tail_exp,
     }
 
-    monotonicity = fix_monotonicity_check(axis, orbit, g1)
+    monotonicity = fix_monotonicity_check(g, axis.tail_norm_sq)
 
     fix_sym = fix_set_symbolic(n, p)
     fix_bf = None if p is None else fix_set_bruteforce(n, p)

@@ -118,7 +118,7 @@ def _cmd_axis(args) -> int:
 
 def _parse_orbit_label(text: str, n: int) -> PointLabel:
     text = text.strip()
-    if "@" not in text and not text.startswith("anon"):
+    if "@" not in text:
         text = f"{text}@n{n}"
     return parse_label(text)
 

@@ -21,23 +21,22 @@ Rational = Union[int, Fraction]
 
 FAMILY_P = "p"
 FAMILY_Q = "q"
-FAMILY_ANON = "anon"
 
-_LABEL_RE = re.compile(r"^([pq])(\d+)@n(\d+)$|^anon(\d+)$")
+_LABEL_RE = re.compile(r"^([pq])(\d+)@n(\d+)$")
 
 
 class _LabelFields(NamedTuple):
     family: str
     index: int
-    context_n: Optional[int] = None
+    context_n: int
 
 
 class PointLabel(_LabelFields):
     """Identifier of an exceptional class.
 
-    Family "p"/"q" labels carry the tower index and the parameter n of the
-    map they belong to; "anon" labels stand for hypothetical base points and
-    never collide with the p/q families.
+    A label names a point of a base-point tower: the family "p" (the shift
+    map's) or "q" (its inverse's), the tower index and the parameter n of the
+    map it belongs to.
 
     A label is the tuple (family, index, context_n): hashing, equality and
     ordering are tuple's own, so a label equals the plain tuple of its fields.
@@ -46,21 +45,15 @@ class PointLabel(_LabelFields):
     __slots__ = ()
 
     def __new__(cls, family: str, index: int, context_n: Optional[int] = None):
-        if family in (FAMILY_P, FAMILY_Q):
-            if context_n is None or context_n < 2:
-                raise ValueError("p/q labels need a context n >= 2")
-        elif family == FAMILY_ANON:
-            if context_n is not None:
-                raise ValueError("anonymous labels carry no context n")
-        else:
+        if family not in (FAMILY_P, FAMILY_Q):
             raise ValueError(f"unknown label family {family!r}")
+        if context_n is None or context_n < 2:
+            raise ValueError("p/q labels need a context n >= 2")
         if index < 0:
             raise ValueError("label index must be a natural number")
         return tuple.__new__(cls, (family, index, context_n))
 
     def __str__(self):
-        if self.family == FAMILY_ANON:
-            return f"anon{self.index}"
         return f"{self.family}{self.index}@n{self.context_n}"
 
 
@@ -72,16 +65,10 @@ def q_label(index: int, n: int) -> PointLabel:
     return PointLabel(FAMILY_Q, index, n)
 
 
-def anon_label(index: int) -> PointLabel:
-    return PointLabel(FAMILY_ANON, index)
-
-
 def parse_label(text: str) -> PointLabel:
     m = _LABEL_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse point label {text!r}")
-    if m.group(4) is not None:
-        return anon_label(int(m.group(4)))
     return PointLabel(m.group(1), int(m.group(2)), int(m.group(3)))
 
 

@@ -47,30 +47,6 @@ class Poly2:
     def coeff(self, i: int, j: int):
         return self.coeffs.get((i, j), self.field.zero)
 
-    def __add__(self, other: "Poly2") -> "Poly2":
-        f = self.field
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = f.add(out.get(mono, f.zero), c)
-            if s != f.zero:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Poly2.__new__(Poly2)
-        res.field = f
-        res.coeffs = out
-        return res
-
-    def __neg__(self) -> "Poly2":
-        f = self.field
-        res = Poly2.__new__(Poly2)
-        res.field = f
-        res.coeffs = {mono: f.neg(c) for mono, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
     def __mul__(self, other: "Poly2") -> "Poly2":
         f = self.field
         out: Dict[Monomial, object] = {}

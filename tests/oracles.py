@@ -91,7 +91,7 @@ def reference_act_once(n, c, sign):
         out = out + (line_class() * n - _reference_block(n, other_family)) * c.ell
     low_block = {}
     for label, coeff in c.exc.items():
-        if label.family == "anon" or label.context_n != n:
+        if label.context_n != n:
             raise ActionDomainError(f"class touches label {label} outside the n={n} action")
         if label.family == other_family:
             out = out + exceptional(PointLabel(label.family, label.index + step, n)) * coeff

@@ -15,7 +15,7 @@ from wpdcert.action import (
     henon_act,
     orbit_label,
 )
-from wpdcert.lattice import PMClass, PointLabel, anon_label, exceptional, intersect, line_class, p_label, q_label
+from wpdcert.lattice import PMClass, PointLabel, exceptional, intersect, line_class, p_label, q_label
 from wpdcert.polymaps import degree, henon_map
 
 
@@ -48,9 +48,9 @@ def test_orbit_label_domain_errors():
     with pytest.raises(ActionDomainError):
         orbit_label(2, p_label(2, 2), 1)
     with pytest.raises(ActionDomainError):
-        orbit_label(2, anon_label(0), 1)
-    with pytest.raises(ActionDomainError):
         orbit_label(3, q_label(0, 2), 1)  # wrong tower
+    with pytest.raises(ActionDomainError):
+        orbit_label(2, p_label(4, 3), -1)  # another tower, though its shift stays in range
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -76,7 +76,7 @@ def test_action_partiality():
     with pytest.raises(ActionDomainError):
         henon_act(2, exceptional(q_label(1, 2)), -1)
     with pytest.raises(ActionDomainError):
-        henon_act(2, exceptional(anon_label(0)), 1)
+        henon_act(2, exceptional(q_label(0, 3)), 1)  # another n's tower
     # an aggregate low block is fine in either direction
     assert henon_act(2, exceptional_block(2, "p"), 1) == L * 3 - exceptional_block(2, "q") * 2
 
@@ -223,16 +223,16 @@ def test_axis_classes_and_powers_match_reference(n):
 
 
 def test_act_once_domain_errors_kept():
-    anon = L + exceptional(anon_label(0))
     wrong_n = L + exceptional(q_label(4, 3))
+    wrong_n_low = exceptional(p_label(0, 3))
     lone_low = exceptional(p_label(1, 2)) * 2
-    for c in (anon, wrong_n, lone_low):
+    for c in (wrong_n, wrong_n_low, lone_low):
         with pytest.raises(ActionDomainError):
             action._act_once(2, c, 1)
         with pytest.raises(ActionDomainError):
             reference_act_once(2, c, 1)
     with pytest.raises(ActionDomainError, match="outside the n=2 action"):
-        henon_act(2, anon, 1)
+        henon_act(2, wrong_n_low, 1)
     with pytest.raises(ActionDomainError, match="outside the n=2 action"):
         henon_act(2, wrong_n, -1)
     with pytest.raises(ActionDomainError, match="non-aggregate"):

@@ -22,7 +22,7 @@ from wpdcert.certifier import (
     fix_set_symbolic,
     worst_case_intersection,
 )
-from wpdcert.lattice import PMClass
+from wpdcert.lattice import PMClass, intersect
 from wpdcert.polymaps import diagonal_affine_parts
 
 SQRT2 = math.sqrt(2.0)
@@ -173,6 +173,8 @@ def test_fix_set_bruteforce_validation():
         fix_set_bruteforce(2, 9)
     with pytest.raises(ParameterError):
         fix_set_bruteforce(2, 200003)  # infeasible search space
+    with pytest.raises(ParameterError, match="infeasible"):
+        fix_set_symbolic(2, 2**61 - 1)  # refused before the primality test
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (2, 13), (3, 7), (5, 7), (17, 5)])
@@ -180,14 +182,36 @@ def test_kernel_matches_per_candidate_reference(n, p):
     assert _bruteforce.enumerate_fix_candidates(n, p) == _bruteforce.reference_fix_candidates(n, p)
 
 
+def _monotonicity(axis):
+    return fix_monotonicity_check(axis.gram(), axis.tail_norm_sq)
+
+
 def test_monotonicity_check():
     for n in range(2, 11):
-        result = fix_monotonicity_check(axis_classes(n, 20))
+        result = _monotonicity(axis_classes(n, 20))
         assert result["mode"] == "exact"
         assert result["ok"] and result["ordered"]
         assert 0 < result["deviation_ratio"] <= 1
-    shallow = fix_monotonicity_check(axis_classes(2, 4))
+    shallow = _monotonicity(axis_classes(2, 4))
     assert shallow["ok"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_monotonicity_on_the_untruncated_axis(n):
+    # g_k = n^k + n^-k is the Gram sequence of the true axis point: five
+    # points exactly on one geodesic, so every sinh^2 delta_j is 0
+    g = tuple(Fraction(n) ** k + Fraction(n) ** -k for k in range(5))
+    result = fix_monotonicity_check(g, Fraction(2, n**42))
+    assert result == {"mode": "exact", "deviation_ratio": 0.0, "ordered": True, "ok": True}
+
+
+@pytest.mark.parametrize("n,depth", [(2, 2), (2, 20), (3, 12), (5, 8), (7, 4), (2, 300)])
+def test_gram_pairs_w_with_its_images(n, depth):
+    # g_k = B(w, h^k w): the shift map is an isometry, so gram() may pair any
+    # two orbit points k steps apart
+    axis = axis_classes(n, depth)
+    w = axis.w_scaled
+    assert axis.gram() == tuple(intersect(w, action.henon_act(n, w, k)) for k in range(5))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -197,9 +221,8 @@ def test_exact_monotonicity_agrees_with_float_reference(n):
     # matches the float deviation wherever that is above rounding noise
     for depth in (2, 4, 8, 20, 100):
         axis = axis_classes(n, depth)
-        orbit = axis.w_orbit(2)
-        exact = fix_monotonicity_check(axis, orbit)
-        ref = reference_monotonicity_float(axis, orbit)
+        exact = _monotonicity(axis)
+        ref = reference_monotonicity_float(axis, axis.w_orbit(2))
         assert exact["ok"] is ref["ok"] is True
         assert exact["ordered"] is ref["ordered"] is True
         # sinh^2 delta stays below half the tail: a factor of 2 to spare
@@ -211,36 +234,36 @@ def test_exact_monotonicity_agrees_with_float_reference(n):
 
 def test_monotonicity_fails_on_a_disordered_orbit():
     axis = axis_classes(3, 12)
-    orbit = axis.w_orbit(2)
-    swapped = {**orbit, 1: orbit[2], 2: orbit[1]}
-    result = fix_monotonicity_check(axis, swapped)
+    g0, g1, g2, g3, g4 = axis.gram()
+    result = fix_monotonicity_check((g0, g2, g1, g3, g4), axis.tail_norm_sq)
     assert not result["ordered"] and not result["ok"]
     # a repeated point (g_1 = g_0) is not in order either
-    repeated = {**orbit, 1: orbit[0]}
-    assert not fix_monotonicity_check(axis, repeated)["ordered"]
+    assert not fix_monotonicity_check((g0, g0, g2, g3, g4), axis.tail_norm_sq)["ordered"]
 
 
 def test_monotonicity_fails_off_the_geodesic():
-    # moving the middle point towards l keeps the order but leaves the geodesic
+    # pushing the neighbours apart keeps the order but bends the orbit off
+    # the geodesic through its ends
     axis = axis_classes(3, 12)
-    orbit = axis.w_orbit(2)
-    moved = {**orbit, 0: orbit[0] + lattice.line_class() * Fraction(1, 100)}
-    result = fix_monotonicity_check(axis, moved)
+    g0, g1, g2, g3, g4 = axis.gram()
+    result = fix_monotonicity_check((g0, g1 + Fraction(1, 100), g2, g3, g4), axis.tail_norm_sq)
     assert result["ordered"] and not result["ok"]
     assert result["deviation_ratio"] > 1
 
 
 @pytest.mark.parametrize("depth", [20, 250])
 def test_monotonicity_verdict_independent_of_summation_order(depth):
-    # the same exact classes with every exc dict reversed: exact pairings give
-    # the same result whatever order they sum in
+    # the same exact w_scaled with its exc dict reversed: its orbit is built
+    # and paired in another order, and the Gram sequence and verdict stay
     axis = axis_classes(3, depth)
-    orbit = axis.w_orbit(2)
-    reversed_orbit = {k: PMClass(c.ell, list(c.exc.items())[::-1]) for k, c in orbit.items()}
-    assert reversed_orbit == orbit
-    forward = fix_monotonicity_check(axis, orbit)
+    w = axis.w_scaled
+    reversed_w = PMClass(w.ell, list(w.exc.items())[::-1])
+    assert reversed_w == w and list(reversed_w.exc) != list(w.exc)
+    reversed_axis = axis._replace(w_scaled=reversed_w)
+    assert reversed_axis.gram() == axis.gram()
+    forward = _monotonicity(axis)
     assert forward["ok"]
-    assert fix_monotonicity_check(axis, reversed_orbit) == forward
+    assert _monotonicity(reversed_axis) == forward
 
 
 @pytest.mark.parametrize("n,depth", [(2, 2), (3, 20), (7, 30), (2, 800)])

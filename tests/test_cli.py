@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -39,6 +40,25 @@ def test_certify_char_divides_n_exits_2(capsys):
     assert "characteristic divides n" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "2", "--depth", "20", "--prime", "1000000009"],
+        ["oracle", "--n", "2", "--prime", str(2**61 - 1)],
+    ],
+    ids=["certify", "oracle"],
+)
+def test_large_prime_is_refused_before_any_work(capsys, argv):
+    # the search bound p <= 150 is checked first: the primality test of
+    # 2^61 - 1 and the listing of roots of unity over F_1000000009 would
+    # each take minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "infeasible" in json.loads(err)["error"]
+
+
 def test_certify_is_byte_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "certify", "--n", "2", "--depth", "6", "--prime", "7")
     _, out2, _ = run_cli(capsys, "certify", "--n", "2", "--depth", "6", "--prime", "7")
@@ -59,8 +79,13 @@ def test_orbit_table(capsys):
 
 
 def test_orbit_out_of_domain_exits_2(capsys):
-    code, _, err = run_cli(capsys, "orbit", "--n", "2", "--label", "anon3")
-    assert code == 2 and "orbit" in json.loads(err)["error"]
+    for label, message in (
+        ("anon3", "cannot parse point label"),  # not a tower point
+        ("q0@n3", "does not belong to the n=2 tower"),
+    ):
+        code, out, err = run_cli(capsys, "orbit", "--n", "2", "--label", label)
+        assert code == 2 and out == ""
+        assert message in json.loads(err)["error"]
 
 
 def test_orbit_csv(capsys):
@@ -320,8 +345,8 @@ def test_readme_lists_every_command():
 
 # Valid values, small invalid ones, and huge ones only where they cost no work:
 # n or depth past the axis support bound (n past 500 for the Fix-set search,
-# while orbit only adds to label indices), --iters past 10000, and an even
-# --prime, which the primality test refuses at once.
+# while orbit only adds to label indices), --iters past 10000, and a --prime
+# past the search bound, which is refused before any primality test.
 _HUGE = st.integers(10**4, 10**400)
 _FLOAT = st.one_of(
     st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-3", "0.1", "0.4", "2"]),
@@ -330,7 +355,9 @@ _FLOAT = st.one_of(
 )
 _N = st.one_of(st.integers(2, 6), st.integers(-3, 12), _HUGE)
 _DEPTH = st.one_of(st.integers(2, 30), st.integers(-3, 40), _HUGE)
-_PRIME = st.one_of(st.sampled_from([5, 7, 13, 17, 19, 31, 37, 41]), st.integers(-7, 40), _HUGE.map(lambda k: 2 * k))
+_PRIME = st.one_of(
+    st.sampled_from([5, 7, 13, 17, 19, 31, 37, 41]), st.integers(-7, 40), _HUGE, st.sampled_from([1000000009, 2**61 - 1])
+)
 _COMMANDS = {
     "certify": {"n": _N, "depth": _DEPTH, "prime": _PRIME, "eps": st.one_of(st.floats(0.0, 0.3).map(repr), _FLOAT)},
     "axis": {"n": _N, "depth": _DEPTH},

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from wpdcert.lattice import (
     PMClass,
     PointLabel,
-    anon_label,
     exceptional,
     intersect,
     line_class,
@@ -34,7 +33,7 @@ def test_basis_intersections():
 
 
 def test_quadratic_image_pairing():
-    labels = [anon_label(i) for i in range(3)]
+    labels = [p_label(i, 2) for i in range(3)]
     img = L * 2 - sum((exceptional(lab) for lab in labels), PMClass())
     assert intersect(img, L) == 2
 
@@ -53,7 +52,7 @@ classes = st.builds(
     PMClass,
     st.fractions(min_value=-5, max_value=5),
     st.dictionaries(
-        st.builds(anon_label, st.integers(min_value=0, max_value=6)),
+        st.builds(PointLabel, st.sampled_from(["p", "q"]), st.integers(min_value=0, max_value=6), st.just(3)),
         st.fractions(min_value=-5, max_value=5),
         max_size=4,
     ),
@@ -68,7 +67,7 @@ def test_bilinear_symmetric(a, b, c, t):
 
 
 def test_gram_signature_diagonal():
-    basis = [L] + [exceptional(anon_label(i)) for i in range(6)]
+    basis = [L] + [exceptional(q_label(i, 3)) for i in range(6)]
     gram = [[intersect(x, y) for y in basis] for x in basis]
     for i, row in enumerate(gram):
         for j, value in enumerate(row):
@@ -79,7 +78,7 @@ def test_gram_signature_diagonal():
 
 
 def test_exact_rational_results():
-    c = L * Fraction(2, 3) - exceptional(anon_label(0)) * Fraction(1, 7)
+    c = L * Fraction(2, 3) - exceptional(p_label(0, 3)) * Fraction(1, 7)
     v = intersect(c, c)
     assert isinstance(v, Fraction)
     assert v == Fraction(4, 9) - Fraction(1, 49)
@@ -89,10 +88,11 @@ def test_label_identity_rules():
     assert p_label(3, 2) == p_label(3, 2)
     assert p_label(3, 2) != p_label(3, 3)
     assert p_label(3, 2) != q_label(3, 2)
-    assert anon_label(3) != p_label(3, 2)
     with pytest.raises(ValueError, match="p/q labels need a context n >= 2"):
         PointLabel("p", 1)  # missing context
-    with pytest.raises(ValueError, match="anonymous labels carry no context n"):
+    with pytest.raises(ValueError, match="p/q labels need a context n >= 2"):
+        PointLabel("q", 1, 1)
+    with pytest.raises(ValueError, match="unknown label family 'anon'"):
         PointLabel("anon", 1, 4)
     with pytest.raises(ValueError, match="label index must be a natural number"):
         PointLabel("p", -1, 2)
@@ -106,17 +106,16 @@ def test_label_hash_and_equality_are_tuple_builtins():
 
 def test_label_order_is_field_order():
     labels = [p_label(i, n) for i in range(4) for n in (2, 3)]
-    labels += [q_label(i, n) for i in range(4) for n in (2, 5)] + [anon_label(i) for i in range(4)]
+    labels += [q_label(i, n) for i in range(4) for n in (2, 5)]
     random.Random(11).shuffle(labels)
-    expected = sorted(labels, key=lambda lab: (lab.family, lab.index, lab.context_n or 0))
+    expected = sorted(labels, key=lambda lab: (lab.family, lab.index, lab.context_n))
     assert sorted(labels) == expected
 
 
 def test_label_str_repr_and_immutability():
     label = q_label(12, 3)
-    assert str(label) == "q12@n3" and str(anon_label(7)) == "anon7"
+    assert str(label) == "q12@n3"
     assert repr(p_label(3, 2)) == "PointLabel(family='p', index=3, context_n=2)"
-    assert repr(anon_label(7)) == "PointLabel(family='anon', index=7, context_n=None)"
     with pytest.raises(AttributeError):
         label.index = 4
     with pytest.raises(AttributeError):
@@ -124,7 +123,7 @@ def test_label_str_repr_and_immutability():
 
 
 def test_label_pickle_and_deepcopy_roundtrip():
-    for label in (p_label(0, 2), q_label(12, 3), anon_label(7)):
+    for label in (p_label(0, 2), q_label(12, 3), p_label(7, 11)):
         for twin in (pickle.loads(pickle.dumps(label)), copy.deepcopy(label)):
             assert twin == label and type(twin) is PointLabel
 
@@ -137,15 +136,16 @@ def test_class_keys_must_be_labels():
 
 
 def test_label_parse_roundtrip():
-    for label in (p_label(0, 2), q_label(12, 3), anon_label(7)):
+    for label in (p_label(0, 2), q_label(12, 3), p_label(7, 11)):
         assert parse_label(str(label)) == label
-    with pytest.raises(ValueError):
-        parse_label("z3@n2")
+    for text in ("z3@n2", "anon7", "p3", "q3@n1", "p-1@n2"):
+        with pytest.raises(ValueError):
+            parse_label(text)
 
 
 def test_json_form():
-    c = L * Fraction(5, 2) - exceptional(q_label(4, 3)) * Fraction(1, 3) + exceptional(anon_label(1))
+    c = L * Fraction(5, 2) - exceptional(q_label(4, 3)) * Fraction(1, 3) + exceptional(p_label(1, 2))
     assert to_json_dict(c) == {
         "ell": "5/2",
-        "exc": [{"label": "anon1", "coeff": "1"}, {"label": "q4@n3", "coeff": "-1/3"}],
+        "exc": [{"label": "p1@n2", "coeff": "1"}, {"label": "q4@n3", "coeff": "-1/3"}],
     }

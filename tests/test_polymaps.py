@@ -130,9 +130,9 @@ def test_conjugation_x3_coefficient_n4():
 def test_conjugation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         conjugate_by_henon(henon_map(2), 2, 1)  # not affine
+    x_plus_y = Poly2(QQ, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     with pytest.raises(ValueError):
-        x, y = Poly2.variable(QQ, "x"), Poly2.variable(QQ, "y")
-        conjugate_by_henon(PolyMap(QQ, x + y, y), 2, 1)  # off-diagonal term
+        conjugate_by_henon(PolyMap(QQ, x_plus_y, Poly2.variable(QQ, "y")), 2, 1)  # off-diagonal term
     with pytest.raises(ValueError):
         conjugate_by_henon(affine_map(QQ, 0, 1, 1, 0), 2, 1)  # a = 0
     field = PrimeField(2)
