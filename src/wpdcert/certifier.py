@@ -19,13 +19,15 @@ import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .action import AxisData, axis_classes
-from .fields import PrimeField
 from .lattice import intersect
-from .polymaps import PolyMap, RootExponentMap, affine_map
 from .report import to_json
+
+if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips action
+    from .action import AxisData
+    from .fields import PrimeField
+    from .polymaps import PolyMap
 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
@@ -161,12 +163,33 @@ def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
 # Fix sets
 
 
+class RootExponentMap(namedtuple("RootExponentMap", "modulus a_exp c_exp")):
+    """Diagonal map (zeta^a_exp x, zeta^c_exp y), zeta a primitive root of unity.
+
+    Symbolic form of a Fix-set element over Q, where the roots of unity are
+    not rational; modulus is n^2 - 1 and c_exp = n * a_exp (mod modulus).
+    Maps order as the tuple (modulus, a_exp, c_exp).
+    """
+
+    __slots__ = ()
+
+    def __str__(self):
+        m = self.modulus
+        return f"zeta{m}^{self.a_exp}*x; zeta{m}^{self.c_exp}*y"
+
+    def to_json_dict(self) -> dict:
+        exponents = {"modulus": self.modulus, "a_exponent": self.a_exp, "c_exponent": self.c_exp}
+        return {"field": "Q(zeta)", "map": str(self), **exponents}
+
+
 def _fix_field(n: int, p: int) -> PrimeField:
     """F_p for a Fix set over n: p must be prime and must not divide n.
 
     p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES (p > 150) is refused first,
     before the primality test, whose cost grows with p.
     """
+    from .fields import PrimeField  # here, so that certify without a prime loads no field
+
     if oracle_count(p) > _MAX_BRUTEFORCE_CANDIDATES:
         raise ParameterError(f"brute-force search over F_{p} is infeasible")
     field = PrimeField(p)  # raises on non-primes
@@ -196,6 +219,8 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
         if m > MAX_FIX_MAPS:
             raise ParameterError(f"symbolic Fix set size n^2 - 1 = {m} exceeds {MAX_FIX_MAPS}; lower n")
         return [RootExponentMap(m, k, n * k % m) for k in range(m)]
+    from .polymaps import affine_map
+
     field = _fix_field(n, p)
     return [affine_map(field, a, 0, pow(a, n, p), 0) for a in field.roots_of_unity(m)]
 
@@ -210,6 +235,7 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     are refused with a ParameterError (the latter by _fix_field).
     """
     from . import _bruteforce  # here, so that certify without a prime never loads the kernel
+    from .polymaps import affine_map
 
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -253,21 +279,22 @@ def fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     distance delta_j from the geodesic through h^-2(w) and h^2(w) with
     sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix of the ends
     and G3_j that of the ends and h^j(w).  The verdict needs
-    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction;
-    ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq, as a
-    float for display only.
+    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction,
+    and sinh^2 delta_j >= 0, which no g of points on the hyperboloid
+    violates; ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq,
+    as a float for display only.
     """
     ordered = all(g[k] < g[k + 1] for k in range(4))
     det2 = _gram_det(g, (-2, 2))
-    ratio = None  # the ends coincide: no geodesic to measure against
+    ratios = []  # stays empty when the ends coincide: no geodesic to measure against
     if det2:
         scale = g[0] * det2 * tail_norm_sq
-        ratio = max(-_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1))
+        ratios = [-_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1)]
     return {
         "mode": "exact",
-        "deviation_ratio": None if ratio is None else float(ratio),
+        "deviation_ratio": float(max(ratios)) if ratios else None,
         "ordered": ordered,
-        "ok": ordered and ratio <= 1,
+        "ok": ordered and bool(ratios) and 0 <= min(ratios) and max(ratios) <= 1,
     }
 
 
@@ -320,6 +347,8 @@ def certify(
     eps: Optional[float] = None,
 ) -> CertReport:
     """Run the whole pipeline; the report passes iff every verdict holds."""
+    from .action import axis_classes
+
     if not isinstance(n, int) or n < 2:
         raise ParameterError("need an integer n >= 2")
     if not isinstance(depth, int) or depth < 2:

@@ -7,21 +7,18 @@ for a tube traversal.  JSON is the canonical format; CSV flattens the tabular
 sections.  Reals are printed with 12 significant digits, rationals exactly,
 so output is byte-stable.
 
-Each command imports the layers it uses when it runs, so that a query such as
-``orbit`` or ``tube`` does not pay for loading the certifier.
+Each command imports the layers it uses when it runs, and ``_emit`` imports
+``csv`` only for CSV output, so that a query such as ``orbit`` or ``tube``
+does not pay for loading the certifier or the lattice.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from fractions import Fraction
-
-from .lattice import PointLabel, intersect, line_class, parse_label
 
 
 #: largest --iters of the orbit command (its output grows linearly)
@@ -36,6 +33,8 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
     exit 0 if it holds, 1 if not.
     """
     if args.format == "csv":
+        import csv
+
         header, data = rows or (("key", "value"), _kv_rows(payload))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -92,6 +91,7 @@ def _cmd_certify(args) -> int:
 def _cmd_axis(args) -> int:
     from . import report
     from .action import axis_classes
+    from .lattice import intersect
 
     axis = axis_classes(args.n, args.depth)
     payload = report.to_json(
@@ -116,7 +116,9 @@ def _cmd_axis(args) -> int:
     return _emit(payload, args, (("class", "label", "coeff"), rows_data))
 
 
-def _parse_orbit_label(text: str, n: int) -> PointLabel:
+def _parse_orbit_label(text: str, n: int):
+    from .lattice import parse_label
+
     text = text.strip()
     if "@" not in text:
         text = f"{text}@n{n}"
@@ -145,7 +147,7 @@ def _cmd_geodesic(args) -> int:
 
     axis = axis_classes(args.n, args.depth)
     w_norm_sq = axis.w_norm_sq
-    cosh_sq = Fraction(2) / w_norm_sq
+    cosh_sq = 2 / w_norm_sq  # a Fraction, as w_norm_sq is
     payload = {
         "n": args.n,
         "depth": args.depth,
@@ -155,6 +157,7 @@ def _cmd_geodesic(args) -> int:
     }
     if args.t is not None:
         from . import hyperbolic
+        from .lattice import line_class
 
         ell = hyperbolic.as_vector(line_class())
         w_hat = hyperbolic.as_vector(axis.w_scaled) * (1.0 / math.sqrt(float(w_norm_sq) * 2.0))

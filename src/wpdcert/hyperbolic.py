@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from typing import Hashable, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Hashable, Mapping, Tuple, Union
 
-from .lattice import PMClass
+if TYPE_CHECKING:
+    from .lattice import PMClass
 
 _UNIT_TOL = 1e-9
 
@@ -55,13 +56,15 @@ class HVec:
         return f"HVec(ell={self.ell!r}, support={len(self.exc)})"
 
 
-VectorLike = Union[HVec, PMClass]
+VectorLike = Union[HVec, "PMClass"]
 
 
 def as_vector(x: VectorLike) -> HVec:
     """Coerce a lattice class or an HVec."""
     if isinstance(x, HVec):
         return x
+    from .lattice import PMClass  # here, so that the tube queries never load the lattice
+
     if isinstance(x, PMClass):
         return HVec(x.ell, x.exc)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Minkowski vector")

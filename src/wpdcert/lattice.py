@@ -134,6 +134,10 @@ class PMClass:
 
     __rmul__ = __mul__
 
+    def to_json_dict(self) -> dict:
+        """Report form of the class; see the module-level `to_json_dict`."""
+        return to_json_dict(self)
+
     def __eq__(self, other):
         return isinstance(other, PMClass) and self.ell == other.ell and self.exc == other.exc
 

@@ -7,7 +7,6 @@ tiny, so clarity wins over asymptotics.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -164,24 +163,14 @@ class PolyMap:
     def __repr__(self):
         return f"PolyMap[{self.field.tag}]({self})"
 
+    def to_json_dict(self) -> dict:
+        """Report form of a Fix-set map: field, formula and the (a, b, c, d) of diagonal_affine_parts."""
+        a, b, c, d = diagonal_affine_parts(self)
+        return {**serialize_map(self), "a": str(a), "b": str(b), "c": str(c), "d": str(d)}
+
 
 def serialize_map(f: PolyMap) -> dict:
     return {"field": f.field.tag, "map": str(f)}
-
-
-class RootExponentMap(namedtuple("RootExponentMap", "modulus a_exp c_exp")):
-    """Diagonal map (zeta^a_exp x, zeta^c_exp y), zeta a primitive root of unity.
-
-    Symbolic form of a Fix-set element over Q, where the roots of unity are
-    not rational; modulus is n^2 - 1 and c_exp = n * a_exp (mod modulus).
-    Maps order as the tuple (modulus, a_exp, c_exp).
-    """
-
-    __slots__ = ()
-
-    def __str__(self):
-        m = self.modulus
-        return f"zeta{m}^{self.a_exp}*x; zeta{m}^{self.c_exp}*y"
 
 
 def henon_map(n: int, field=QQ) -> PolyMap:

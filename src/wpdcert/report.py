@@ -1,15 +1,12 @@
 """Diffable JSON serialization of certification reports.
 
 Reals are decimal strings with 12 significant digits, rationals exact "p/q"
-strings, so reports from repeated runs compare byte-for-byte.
+strings, so reports from repeated runs compare byte-for-byte.  Classes and
+Fix-set maps know their own JSON form (``to_json_dict``), so this module
+imports no other layer: a command that prints no class or map loads none.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .lattice import PMClass, to_json_dict
-from .polymaps import PolyMap, RootExponentMap, diagonal_affine_parts, serialize_map
 
 
 def fmt_real(x: float) -> str:
@@ -17,33 +14,24 @@ def fmt_real(x: float) -> str:
 
 
 def to_json(v):
-    """JSON form of a raw report value: dicts and lists recursively, reals and
-    rationals as strings, classes as `lattice.to_json_dict`, Fix-set maps as
-    `fix_map_json`; anything else as is."""
+    """JSON form of a raw report value: dicts and lists recursively, floats
+    through `fmt_real`, values with a ``to_json_dict`` method (classes and
+    Fix-set maps) through it, and other rationals as "p/q"; ints, bools,
+    strings and None as they are.
+
+    A rational is told by its ``denominator`` (an int has one too), so that a
+    report of floats loads no ``fractions``.
+    """
     if isinstance(v, dict):
         return {k: to_json(x) for k, x in v.items()}
     if isinstance(v, list):
         return [to_json(x) for x in v]
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return fmt_real(v)
-    if isinstance(v, PMClass):
-        return to_json_dict(v)
-    if isinstance(v, (PolyMap, RootExponentMap)):
-        return fix_map_json(v)
+    if isinstance(v, (int, str)) or v is None:
+        return v
+    if hasattr(v, "to_json_dict"):
+        return v.to_json_dict()
+    if hasattr(v, "denominator"):
+        return str(v)
     return v
-
-
-def fix_map_json(f) -> dict:
-    """A Fix-set map with its coefficients (a, b, c, d), or with its root exponents."""
-    if isinstance(f, RootExponentMap):
-        return {
-            "field": "Q(zeta)",
-            "map": str(f),
-            "modulus": f.modulus,
-            "a_exponent": f.a_exp,
-            "c_exponent": f.c_exp,
-        }
-    a, b, c, d = diagonal_affine_parts(f)
-    return {**serialize_map(f), "a": str(a), "b": str(b), "c": str(c), "d": str(d)}

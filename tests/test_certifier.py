@@ -251,6 +251,24 @@ def test_monotonicity_fails_off_the_geodesic():
     assert result["deviation_ratio"] > 1
 
 
+@pytest.mark.parametrize("raise_g0_by", ["tail", Fraction(1, 100)], ids=["tail", "hundredth"])
+def test_monotonicity_refuses_a_negative_sinh_squared(raise_g0_by):
+    # a larger g_0 keeps the order but is the Gram sequence of no points on
+    # the hyperboloid: sinh^2 delta_j comes out negative, which is impossible
+    axis = axis_classes(3, 12)
+    g0, g1, g2, g3, g4 = axis.gram()
+    bump = axis.tail_norm_sq if raise_g0_by == "tail" else raise_g0_by
+    result = fix_monotonicity_check((g0 + bump, g1, g2, g3, g4), axis.tail_norm_sq)
+    assert result["ordered"] and not result["ok"]
+    assert result["deviation_ratio"] < 0
+
+
+def test_monotonicity_refuses_coinciding_ends():
+    # g_4 = -g_0 makes det G2 = 0: no geodesic through the ends to measure against
+    result = fix_monotonicity_check(tuple(map(Fraction, (-2, -1, 0, 1, 2))), Fraction(1))
+    assert result == {"mode": "exact", "deviation_ratio": None, "ordered": True, "ok": False}
+
+
 @pytest.mark.parametrize("depth", [20, 250])
 def test_monotonicity_verdict_independent_of_summation_order(depth):
     # the same exact w_scaled with its exc dict reversed: its orbit is built

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wpdcert
 from wpdcert import certifier
 from wpdcert.cli import main
 
@@ -333,6 +337,33 @@ def test_readme_cli_examples_run(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "tube --lo 0 --hi 2 --radius 0.4 --z 1.0",
+        "axis --n 2 --depth 4 --format csv",
+        "certify --n 2 --depth 8 --prime 7",
+        "oracle --n 2 --prime 7",
+    ],
+)
+def test_module_entry_point_matches_main(capsys, command):
+    # `python -m wpdcert.cli`, as the README and the benchmark run it, makes
+    # cli the __main__ module, where every import inside a command must
+    # resolve as well
+    src = str(Path(wpdcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpdcert.cli", *command.split()],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, out, err = run_cli(capsys, *command.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == 0 and err == ""
 
 
 def test_readme_lists_every_command():

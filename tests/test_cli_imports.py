@@ -1,5 +1,8 @@
 """Import footprint: each command loads only the wpdcert layers it uses.
 
+A query loads no layer it does not call: ``tube`` neither the lattice nor the
+certifier, ``oracle`` not the action, symbolic ``certify`` no field or map.
+
 Every command runs in a fresh interpreter, which records the loaded modules,
 runs ``cli.main`` on the argv and reports the modules that the command loaded.
 """
@@ -24,21 +27,19 @@ print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
 """
 
 ROOT = {"wpdcert", "wpdcert.cli"}
-AXIS = ROOT | {"wpdcert.lattice", "wpdcert.action", "wpdcert.report", "wpdcert.polymaps", "wpdcert.fields"}
+AXIS = ROOT | {"wpdcert.lattice", "wpdcert.action", "wpdcert.report"}
 CERTIFY = AXIS | {"wpdcert.certifier"}
-SEARCH = CERTIFY | {"wpdcert._bruteforce"}
+SEARCH = CERTIFY | {"wpdcert.polymaps", "wpdcert.fields", "wpdcert._bruteforce"}
 
 FOOTPRINTS = [
     ("orbit --n 3 --label q0 --iters 4", ROOT | {"wpdcert.lattice", "wpdcert.action"}),
-    (
-        "tube --lo 0 --hi 2 --radius 0.4 --z 1.0",
-        ROOT | {"wpdcert.lattice", "wpdcert.hyperbolic", "wpdcert.report", "wpdcert.polymaps", "wpdcert.fields"},
-    ),
+    ("tube --lo 0 --hi 2 --radius 0.4 --z 1.0", ROOT | {"wpdcert.hyperbolic", "wpdcert.report"}),
     ("axis --n 2 --depth 4", AXIS),
+    ("axis --n 2 --depth 4 --format csv", AXIS),
     ("geodesic --n 2 --depth 20 --t 0.4", AXIS | {"wpdcert.hyperbolic"}),
     ("certify --n 3 --depth 12", CERTIFY),
     ("certify --n 2 --depth 8 --prime 7", SEARCH),
-    ("oracle --n 2 --prime 7", SEARCH),
+    ("oracle --n 2 --prime 7", SEARCH - {"wpdcert.action"}),
 ]
 
 
@@ -59,3 +60,5 @@ def test_command_loads_only_its_layers(command, expected):
     new = set(result["new"])
     assert {m for m in new if m == "wpdcert" or m.startswith("wpdcert.")} == expected
     assert "dataclasses" not in new
+    # the CSV writer loads only for CSV output
+    assert ("csv" in new) == ("--format csv" in command)

@@ -33,6 +33,15 @@ def _normalized_axis_point(n, depth):
     return vec * (1.0 / math.sqrt(mdot(vec, vec))), ax
 
 
+def test_as_vector_takes_a_class_or_an_hvec_only():
+    vec = as_vector(line_class() * 2)
+    assert (vec.ell, vec.exc) == (2.0, {})
+    h = HVec(1.0, {})
+    assert as_vector(h) is h
+    with pytest.raises(TypeError, match="tuple"):
+        as_vector((1.0, 2.0))
+
+
 def _random_timelike(rng, size=4):
     exc = {i: rng.uniform(-0.8, 0.8) for i in range(size)}
     ell = math.sqrt(1.0 + sum(v * v for v in exc.values()))
