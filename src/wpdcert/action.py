@@ -29,7 +29,6 @@ from .lattice import (
     PointLabel,
     _accumulate,
     intersect,
-    line_class,
     p_label,
     q_label,
 )
@@ -187,8 +186,10 @@ def axis_classes(n: int, depth: int) -> AxisData:
       b_plus . b_minus = 1,   b_plus . b_plus = b_minus . b_minus = n^(-2*depth-2),
       w_scaled . w_scaled = 2 + 2*n^(-2*depth-2).
     Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1);
-    the three series are accumulated in dicts and wrapped once.  A support
-    2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused with a ValueError.
+    the four series are written into dicts in one pass and wrapped once, with
+    w_scaled = 2*l - r = b_plus + b_minus holding the b-coefficient objects
+    themselves.  A support 2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused
+    with a ValueError.
     """
     if n < 2:
         raise ValueError("axis_classes needs n >= 2")
@@ -203,26 +204,34 @@ def axis_classes(n: int, depth: int) -> AxisData:
     b_plus = {}
     b_minus = {}
     r = {}
+    w_scaled = {}  # 2*l - r = b_plus + b_minus: the b-coefficient of each label
+    # both families' blocks carry the multiplicities (n-1, 1, ..., 1) in this
+    # order, which a shift-map step keeps
+    mults = [m for _, m in base_points(n)]
     fwd = exceptional_block(n, FAMILY_Q)
     bwd = exceptional_block(n, FAMILY_P)
     for i in range(depth + 1):
-        weight = Fraction(1, n ** (i + 1))
-        fwd_terms = [(label, coeff * weight) for label, coeff in fwd.exc.items()]
-        bwd_terms = [(label, coeff * weight) for label, coeff in bwd.exc.items()]
-        _accumulate(b_plus, ((label, -v) for label, v in fwd_terms))
-        _accumulate(b_minus, ((label, -v) for label, v in bwd_terms))
-        _accumulate(r, fwd_terms + bwd_terms)
+        # one Fraction per distinct coefficient m/n^(i+1) of the level and one
+        # for its negation, shared by every label that carries it
+        den = n ** (i + 1)
+        pos = {m: Fraction(m, den) for m in set(mults)}
+        neg = {m: -c for m, c in pos.items()}
+        # every level covers labels no other level touches, so plain stores
+        # keep the insertion order of repeated addition
+        for block, b in ((fwd, b_plus), (bwd, b_minus)):
+            for label, m in zip(block.exc, mults):
+                r[label] = pos[m]
+                b[label] = w_scaled[label] = neg[m]
         if i < depth:
             fwd = henon_act(n, fwd, 1)
             bwd = henon_act(n, bwd, -1)
-    r = PMClass.from_canonical(Fraction(0), r)
-    w_scaled = line_class() * 2 - r
+    w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
     return AxisData(
         n,
         depth,
         PMClass.from_canonical(Fraction(1), b_plus),
         PMClass.from_canonical(Fraction(1), b_minus),
-        r,
+        PMClass.from_canonical(Fraction(0), r),
         w_scaled,
         intersect(w_scaled, w_scaled) / 2,
         Fraction(2, n ** (2 * depth + 2)),

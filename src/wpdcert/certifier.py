@@ -19,9 +19,10 @@ import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from .lattice import intersect
+from .lattice import PMClass, intersect
 from .report import to_json
 
 if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips action
@@ -394,8 +395,13 @@ def certify(
         and w_norm_sq == 1 + tail_exp
     )
 
-    deg2 = exclusion_data(n, 2, star.chosen_eps, axis)
-    deg3 = exclusion_data(n, 3, star.chosen_eps, axis)
+    # a worst case reads only the largest coefficients of r, at most five (the
+    # degree-3 points), so r is scanned once and both degrees are paired
+    # against an axis whose r keeps just those terms
+    top = heapq.nlargest(len(_MULTIPLICITIES[3]), axis.r.exc.items(), key=itemgetter(1))
+    top_axis = axis._replace(r=PMClass.from_canonical(Fraction(0), dict(top)))
+    deg2 = exclusion_data(n, 2, star.chosen_eps, top_axis)
+    deg3 = exclusion_data(n, 3, star.chosen_eps, top_axis)
     wci_ok = deg3["worst_case"] == -3 and deg2["worst_case"] == Fraction(-2) + Fraction(1, n)
 
     # distance from l to the normalized truncated projection point

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# Fractions are immutable, so QQ hands out one zero and one one
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -34,11 +38,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b

@@ -188,7 +188,8 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
 
     The exceptional products are summed as integers per denominator, and
     those sums once over the common denominator: exactly the same value,
-    without a Fraction normalisation per label.
+    without a Fraction normalisation per label.  Each coefficient is read
+    once, by ``as_integer_ratio``.
     """
     a, b = c.exc, d.exc
     if len(b) < len(a):
@@ -197,8 +198,10 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
     for label, x in a.items():
         y = b.get(label)
         if y is not None:
-            den = x.denominator * y.denominator
-            by_den[den] = by_den.get(den, 0) + x.numerator * y.numerator
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            den = xd * yd
+            by_den[den] = by_den.get(den, 0) + xn * yn
     common = math.lcm(*by_den)
     return c.ell * d.ell - Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
 

@@ -23,9 +23,10 @@ class Poly2:
 
     def __init__(self, field, coeffs: Dict[Monomial, object] = None):
         self.field = field
+        zero = field.zero
         clean = {}
         for mono, c in (coeffs or {}).items():
-            if c != field.zero:
+            if c != zero:
                 clean[mono] = c
         self.coeffs = clean
 
@@ -48,12 +49,13 @@ class Poly2:
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         f = self.field
+        zero = f.zero
         out: Dict[Monomial, object] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 mono = (i1 + i2, j1 + j2)
-                s = f.add(out.get(mono, f.zero), f.mul(c1, c2))
-                if s != f.zero:
+                s = f.add(out.get(mono, zero), f.mul(c1, c2))
+                if s != zero:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
@@ -78,12 +80,13 @@ class Poly2:
             xpow.append(xpow[-1] * px)
         for _ in range(max_j - 1):
             ypow.append(ypow[-1] * py)
+        zero = f.zero
         out: Dict[Monomial, object] = {}
         for (i, j), c in self.coeffs.items():
             power = xpow[i] * ypow[j] if i and j else (xpow[i] if i else ypow[j])
             for mono, v in power.coeffs.items():
-                s = f.add(out.get(mono, f.zero), f.mul(v, c))
-                if s != f.zero:
+                s = f.add(out.get(mono, zero), f.mul(v, c))
+                if s != zero:
                     out[mono] = s
                 else:
                     out.pop(mono, None)

@@ -70,6 +70,12 @@ def binomial_backward(field, n, a, b, c, d):
     return Poly2(field, comp_x), Poly2(field, comp_y)
 
 
+def reference_intersect(c, d):
+    """The intersection form c.ell*d.ell - sum_label c[label]*d[label], term by term in Fraction."""
+    shared = (x * d.exc[label] for label, x in c.exc.items() if label in d.exc)
+    return c.ell * d.ell - sum(shared, Fraction(0))
+
+
 def _reference_block(n, family):
     """Base-point tower (n-1, 1, ..., 1) of one family, summed by repeated addition."""
     out = PMClass()

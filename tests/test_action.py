@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_act_once, reference_axis_series, reference_henon_act
+from oracles import reference_act_once, reference_axis_series, reference_henon_act, reference_intersect
 from wpdcert import action
 from wpdcert.action import (
     ActionDomainError,
@@ -247,3 +247,29 @@ def test_shifted_labels_are_point_labels(n):
         classes = [ax.b_plus, ax.b_minus, ax.r, ax.w_scaled, *ax.w_orbit(2).values()]
         for c in classes:
             assert all(type(label) is PointLabel for label in c.exc)
+
+
+# n in {2, 3, 5}, depth in {2, 20, 800}; (5, 800) is past MAX_AXIS_SUPPORT,
+# so n = 5 stops at its largest admitted depth
+_AXIS_GRID = [(2, 2), (2, 20), (2, 800), (3, 2), (3, 20), (3, 800), (5, 2), (5, 20), (5, 554)]
+
+
+@pytest.mark.parametrize("n,depth", _AXIS_GRID)
+def test_w_scaled_shares_the_endpoint_coefficients(n, depth):
+    ax = axis_classes(n, depth)
+    assert ax.w_scaled == L * 2 - ax.r == ax.b_plus + ax.b_minus
+    assert list(ax.w_scaled.exc) == list(ax.r.exc)
+    for label, coeff in ax.w_scaled.exc.items():
+        b = ax.b_plus.exc if label.family == "q" else ax.b_minus.exc
+        assert coeff is b[label]
+
+
+@pytest.mark.parametrize("n,depth", [(2, 800), (3, 250), (5, 120)])
+def test_certify_pairings_equal_plain_fraction_sums(n, depth):
+    # the eight exact pairings certify makes: three endpoint ones, w.w and the four of gram()
+    ax = axis_classes(n, depth)
+    orbit = ax.w_orbit(2)
+    pairs = [(ax.b_plus, ax.b_minus), (ax.b_plus, ax.b_plus), (ax.b_minus, ax.b_minus), (ax.w_scaled, ax.w_scaled)]
+    pairs += [(orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))]
+    for c, d in pairs:
+        assert intersect(c, d) == reference_intersect(c, d)

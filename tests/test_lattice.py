@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_intersect
 from wpdcert.lattice import (
     PMClass,
     PointLabel,
@@ -149,3 +150,30 @@ def test_json_form():
         "ell": "5/2",
         "exc": [{"label": "p1@n2", "coeff": "1"}, {"label": "q4@n3", "coeff": "-1/3"}],
     }
+
+
+# denominators from small to far past one machine word, so that one pairing
+# mixes many denominators and the per-denominator integer sums must agree
+_wide_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.one_of(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=2**200),
+        st.builds(pow, st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=400)),
+    ),
+)
+_wide_classes = st.builds(
+    PMClass,
+    _wide_fractions,
+    st.dictionaries(
+        st.builds(PointLabel, st.sampled_from(["p", "q"]), st.integers(min_value=0, max_value=5), st.just(3)),
+        _wide_fractions,
+        max_size=10,
+    ),
+)
+
+
+@given(_wide_classes, _wide_classes)
+def test_intersect_equals_plain_fraction_sum(c, d):
+    assert intersect(c, d) == reference_intersect(c, d)
