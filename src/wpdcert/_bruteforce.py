@@ -94,9 +94,7 @@ def _conditions(n: int, ring: _CoeffRing) -> list:
 
 
 def enumerate_fix_candidates(n: int, p: int) -> List[Tuple[int, int, int, int]]:
-    PrimeField(p)  # validates primality
-    if n % p == 0:
-        raise ValueError("characteristic divides n")
+    """The search itself: p must be a prime that does not divide n, which the caller checks."""
     conds = _conditions(n, _CoeffRing(p))
 
     # Bind a, c, b, d in this order; test each condition once its variables are bound.

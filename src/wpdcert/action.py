@@ -10,10 +10,11 @@ would need the full resolution lattice, which is not modeled; only the
 aggregate block e_n^+/- has a forced image via the group law.
 
 Cost: one step writes its image into a single dict in one pass over the
-class, so it is linear in the support; a truncation at depth d takes 2d steps
-on (2n-1)-label blocks and is linear in its support 2(2n-1)(d+1).  Label
-insertion order matches repeated ``PMClass.__add__``, which matters because
-float conversions downstream sum in dict order.
+class, so it is linear in the support; a truncation at depth d writes the
+images of the base points under powers up to d straight from the tower, with
+no step, and is linear in its support 2(2n-1)(d+1).  Label insertion order
+matches repeated ``PMClass.__add__``, which matters because float conversions
+downstream sum in dict order.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
         # applying the map to (inverse map)(l) = n*l - block gives
         # block -> (n^2-1)*l - n*(mirror block).
         mu = low_block.get(0, Fraction(0)) / (n - 1)
-        pattern_ok = all(low_block.get(k, Fraction(0)) == mu for k in range(1, step))
-        if not pattern_ok or low_block.get(0, Fraction(0)) != mu * (n - 1):
+        if not all(low_block.get(k, Fraction(0)) == mu for k in range(1, step)):
             raise ActionDomainError(
                 f"class touches the low {low_family}-tower in a non-aggregate way; "
                 "individual images there are not modeled"
@@ -185,11 +185,12 @@ def axis_classes(n: int, depth: int) -> AxisData:
     The truncated endpoint classes satisfy, exactly:
       b_plus . b_minus = 1,   b_plus . b_plus = b_minus . b_minus = n^(-2*depth-2),
       w_scaled . w_scaled = 2 + 2*n^(-2*depth-2).
-    Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1);
-    the four series are written into dicts in one pass and wrapped once, with
-    w_scaled = 2*l - r = b_plus + b_minus holding the b-coefficient objects
-    themselves.  A support 2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused
-    with a ValueError.
+    Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1):
+    each base point's image orbit_label(n, label, +-i) with that point's own
+    multiplicity, q-tower then p-tower.  The four series are written into
+    dicts in one pass and wrapped once, with w_scaled = 2*l - r = b_plus +
+    b_minus holding the b-coefficient objects themselves.  A support
+    2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused with a ValueError.
     """
     if n < 2:
         raise ValueError("axis_classes needs n >= 2")
@@ -205,26 +206,20 @@ def axis_classes(n: int, depth: int) -> AxisData:
     b_minus = {}
     r = {}
     w_scaled = {}  # 2*l - r = b_plus + b_minus: the b-coefficient of each label
-    # both families' blocks carry the multiplicities (n-1, 1, ..., 1) in this
-    # order, which a shift-map step keeps
-    mults = [m for _, m in base_points(n)]
-    fwd = exceptional_block(n, FAMILY_Q)
-    bwd = exceptional_block(n, FAMILY_P)
+    towers = ((base_points(n, FAMILY_Q), 1, b_plus), (base_points(n, FAMILY_P), -1, b_minus))
     for i in range(depth + 1):
         # one Fraction per distinct coefficient m/n^(i+1) of the level and one
         # for its negation, shared by every label that carries it
         den = n ** (i + 1)
-        pos = {m: Fraction(m, den) for m in set(mults)}
+        pos = {m: Fraction(m, den) for m in {n - 1, 1}}
         neg = {m: -c for m, c in pos.items()}
         # every level covers labels no other level touches, so plain stores
         # keep the insertion order of repeated addition
-        for block, b in ((fwd, b_plus), (bwd, b_minus)):
-            for label, m in zip(block.exc, mults):
-                r[label] = pos[m]
-                b[label] = w_scaled[label] = neg[m]
-        if i < depth:
-            fwd = henon_act(n, fwd, 1)
-            bwd = henon_act(n, bwd, -1)
+        for tower, sign, b in towers:
+            for label, m in tower:
+                image = orbit_label(n, label, sign * i)
+                r[image] = pos[m]
+                b[image] = w_scaled[image] = neg[m]
     w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
     return AxisData(
         n,

@@ -243,8 +243,7 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     if n > _MAX_BRUTEFORCE_N:
         raise ParameterError(f"brute-force search needs n <= {_MAX_BRUTEFORCE_N}, got n = {n}")
     field = _fix_field(n, p)
-    tuples = _bruteforce.enumerate_fix_candidates(n, p)
-    return [affine_map(field, a, b, c, d) for (a, b, c, d) in sorted(tuples)]
+    return [affine_map(field, *abcd) for abcd in _bruteforce.enumerate_fix_candidates(n, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def certify(
     degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
 
     w_norm_sq = axis.w_norm_sq
-    tail_exp = Fraction(1, n ** (2 * depth + 2))
+    tail_exp = axis.tail_norm_sq / 2  # n^(-2 depth - 2): b+.b+, and w.w - 1
     axis_facts = {
         "tail_norm_sq": axis.tail_norm_sq,
         "b_cross": intersect(axis.b_plus, axis.b_minus),
@@ -406,7 +405,7 @@ def certify(
 
     # distance from l to the normalized truncated projection point
     proj_cosh = SQRT2 / math.sqrt(float(w_norm_sq))
-    proj_dist = math.acosh(max(proj_cosh, 1.0)) if proj_cosh >= 1.0 else float("nan")
+    proj_dist = math.acosh(proj_cosh) if proj_cosh >= 1.0 else float("nan")
     proj_tol = 1e-9 + SQRT2 * float(tail_exp)
     projection = {
         "distance": proj_dist,
@@ -425,7 +424,7 @@ def certify(
         "expected": expected_cosh,
         "tolerance": SQRT2 * float(Fraction(1, n ** (depth + 1))),
         # |cosh_value - expected| <= sqrt(2) n^-(depth+1), squared so that it is decided over Q
-        "ok": (cosh_ratio - expected_cosh) ** 2 <= 2 * tail_exp,
+        "ok": (cosh_ratio - expected_cosh) ** 2 <= axis.tail_norm_sq,
     }
 
     monotonicity = fix_monotonicity_check(g, axis.tail_norm_sq)

@@ -295,9 +295,7 @@ def test_translation_verdict_is_exact(n, depth):
     assert translation["ok"] is True and gap**2 <= 2 * t
 
 
-@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
-def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
-    # 2*depth steps build the axis truncation, 4 walk h^k(w) for k = -2..2
+def _count_steps(monkeypatch):
     steps = []
     real = action._act_once
 
@@ -306,8 +304,24 @@ def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
         return real(*args)
 
     monkeypatch.setattr(action, "_act_once", counted)
+    return steps
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
+def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
+    # the axis truncation takes no step; 4 walk h^k(w) for k = -2..2
+    steps = _count_steps(monkeypatch)
     assert certify(n, depth).passed
-    assert len(steps) == 2 * depth + 4
+    assert sorted(steps) == [-1, -1, 1, 1]
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (2, 800)])
+def test_axis_classes_takes_no_shift_map_step(monkeypatch, n, depth):
+    # each level is written from the tower's base-point labels
+    steps = _count_steps(monkeypatch)
+    axis = axis_classes(n, depth)
+    assert steps == []
+    assert len(axis.r.exc) == 2 * (2 * n - 1) * (depth + 1)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
