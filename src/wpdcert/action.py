@@ -14,7 +14,10 @@ class, so it is linear in the support; a truncation at depth d writes the
 images of the base points under powers up to d straight from the tower, with
 no step, and is linear in its support 2(2n-1)(d+1).  Label insertion order
 matches repeated ``PMClass.__add__``, which matters because float conversions
-downstream sum in dict order.
+downstream sum in dict order.  The Gram sequence of the axis point walks and
+pairs its orbit in run form (l plus one geometric run of blocks per tower),
+so it costs four steps on one level-0 block each and a few Fractions at any
+depth.
 """
 
 from __future__ import annotations
@@ -56,11 +59,6 @@ def base_points(n: int, family: str = FAMILY_P) -> List[Tuple[PointLabel, int]]:
         raise ValueError("family must be 'p' or 'q'")
     mk = p_label if family == FAMILY_P else q_label
     return [(mk(0, n), n - 1)] + [(mk(k, n), 1) for k in range(1, 2 * n - 1)]
-
-
-def exceptional_block(n: int, family: str) -> PMClass:
-    """The weighted sum of exceptional classes over one base-point tower."""
-    return PMClass(0, base_points(n, family))
 
 
 def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
@@ -134,6 +132,59 @@ def henon_act(n: int, c: PMClass, power: int) -> PMClass:
     return c
 
 
+#: one family's geometric run sum_{j < count} first * n^-j * block(j), where
+#: block(j) is the family's base-point tower (n-1, 1, ..., 1) moved j levels
+#: by orbit_label; first is the weight of level 0
+Run = namedtuple("Run", "count first")
+
+#: ell*l plus one run of each family, q then p: the form of h^k(w_scaled)
+RunPoint = namedtuple("RunPoint", "ell q p")
+
+
+def _run_step(n: int, point: RunPoint, sign: int) -> RunPoint:
+    """One application of the shift map (sign=+1) or its inverse (sign=-1) to a run-form point.
+
+    The step moves the upper family's run (q for sign=+1) one level up and
+    the lower family's run one level down.  What crosses level 0, the l-part
+    and the lower run's level-0 block (at most 2n-1 labels), goes through
+    henon_act; its image is the new l-part plus a multiple of the upper
+    level-0 block, which must carry first*n, the weight that continues the
+    upper run, or the image has no run form and ActionDomainError is raised.
+    """
+    up_family, low_family = (FAMILY_Q, FAMILY_P) if sign == 1 else (FAMILY_P, FAMILY_Q)
+    up, low = getattr(point, up_family), getattr(point, low_family)
+    head = [(label, low.first * m) for label, m in base_points(n, low_family)] if low.count else ()
+    image = henon_act(n, PMClass(point.ell, head), sign)
+    first = up.first * n
+    if image.exc != {label: first * m for label, m in base_points(n, up_family) if first}:
+        raise ActionDomainError(
+            f"the step's level-0 image does not continue the {up_family}-run with weight {first}"
+        )
+    runs = {
+        up_family: Run(up.count + 1, first),
+        low_family: Run(low.count - 1, low.first / n) if low.count else low,
+    }
+    return RunPoint(image.ell, **runs)
+
+
+def _run_pair(n: int, x: RunPoint, y: RunPoint) -> Fraction:
+    """Intersection pairing of two run-form points, exactly.
+
+    Blocks of distinct levels are orthogonal and level j of a run carries
+    first * n^-j, so each family adds first*first' * B(block, block) times
+    sum_{j<m} n^-2j over the m levels both runs cover.
+    """
+    block_sq = -sum(m * m for _, m in base_points(n))  # e.e = -1 for every base point
+    total = x.ell * y.ell
+    for a, b in ((x.q, y.q), (x.p, y.p)):
+        m = min(a.count, b.count)
+        if m:
+            # sum_{j<m} n^-2j = (n^2m - 1) / ((n^2 - 1) n^(2m-2))
+            levels = Fraction(n ** (2 * m) - 1, (n * n - 1) * n ** (2 * m - 2))
+            total += a.first * b.first * block_sq * levels
+    return total
+
+
 class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_sq tail_norm_sq")):
     """Truncated axis data of the shift map, all coefficients exact.
 
@@ -149,33 +200,33 @@ class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_
 
     __slots__ = ()
 
-    def w_orbit(self, reach: int) -> Dict[int, PMClass]:
-        """h^k(w_scaled) for k = -reach..reach, walked outward one step at a time.
+    def w_runs(self, reach: int) -> Dict[int, RunPoint]:
+        """h^k(w_scaled) in run form for k = -reach..reach, walked outward one step at a time.
 
-        2*reach shift-map steps in all, where henon_act(n, w_scaled, k) for
-        each k separately would take reach*(reach+1).
+        w_scaled = b_plus + b_minus is 2*l plus a run of depth+1 levels with
+        first weight -1/n in each family; 2*reach steps in all, each of which
+        hands henon_act the l-part and one level-0 block only.
         """
-        orbit = {0: self.w_scaled}
+        run = Run(self.depth + 1, Fraction(-1, self.n))
+        orbit = {0: RunPoint(Fraction(2), run, run)}
         for sign in (1, -1):
-            c = self.w_scaled
+            point = orbit[0]
             for k in range(1, reach + 1):
-                c = henon_act(self.n, c, sign)
-                orbit[sign * k] = c
+                point = _run_step(self.n, point, sign)
+                orbit[sign * k] = point
         return orbit
 
     def gram(self) -> Tuple[Fraction, ...]:
         """(g_0, .., g_4) with g_k = B(w_scaled, h^k w_scaled) and g_0 = 2 w_norm_sq.
 
         The shift map is an isometry, so B(h^i w_scaled, h^j w_scaled) = g_(j-i):
-        g_1 .. g_4 are one exact pairing each of the points of w_orbit(2).
+        g_1 .. g_4 are one run-form pairing each of the points of w_runs(2),
+        whose cost does not grow with the depth.
         """
-        orbit = self.w_orbit(2)
+        orbit = self.w_runs(2)
         return (
             2 * self.w_norm_sq,
-            intersect(orbit[0], orbit[1]),
-            intersect(orbit[-1], orbit[1]),
-            intersect(orbit[-1], orbit[2]),
-            intersect(orbit[-2], orbit[2]),
+            *(_run_pair(self.n, orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))),
         )
 
 

@@ -28,14 +28,14 @@ MAX_ORBIT_ITERS = 10_000
 def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
     """Write the formatted payload as JSON or CSV to --output or stdout.
 
-    ``rows`` is the CSV (header, data), by default the payload flattened to
-    key/value pairs.  ``passed`` is the command's verdict (queries pass):
-    exit 0 if it holds, 1 if not.
+    ``rows`` builds the CSV (header, data) and is called for CSV output only;
+    by default the payload is flattened to key/value pairs.  ``passed`` is the
+    command's verdict (queries pass): exit 0 if it holds, 1 if not.
     """
     if args.format == "csv":
         import csv
 
-        header, data = rows or (("key", "value"), _kv_rows(payload))
+        header, data = rows() if rows else (("key", "value"), _kv_rows(payload))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -84,8 +84,8 @@ def _cmd_certify(args) -> int:
 
     rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps)
     payload = rep.to_json_dict()
-    rows = _fix_rows(payload["fix_set"]["symbolic"], payload["fix_set"]["bruteforce"])
-    return _emit(payload, args, rows, rep.passed)
+    fix_set = payload["fix_set"]
+    return _emit(payload, args, lambda: _fix_rows(fix_set["symbolic"], fix_set["bruteforce"]), rep.passed)
 
 
 def _cmd_axis(args) -> int:
@@ -108,12 +108,16 @@ def _cmd_axis(args) -> int:
             "w_scaled": axis.w_scaled,
         }
     )
-    rows_data = []
-    for name in ("b_plus", "b_minus", "r", "w_scaled"):
-        cls = payload[name]
-        rows_data.append((name, "l", cls["ell"]))
-        rows_data.extend((name, e["label"], e["coeff"]) for e in cls["exc"])
-    return _emit(payload, args, (("class", "label", "coeff"), rows_data))
+
+    def rows():
+        data = []
+        for name in ("b_plus", "b_minus", "r", "w_scaled"):
+            cls = payload[name]
+            data.append((name, "l", cls["ell"]))
+            data.extend((name, e["label"], e["coeff"]) for e in cls["exc"])
+        return ("class", "label", "coeff"), data
+
+    return _emit(payload, args, rows)
 
 
 def _parse_orbit_label(text: str, n: int):
@@ -137,8 +141,8 @@ def _cmd_orbit(args) -> int:
         image = orbit_label(args.n, label, direction * i)
         entries.append({"power": direction * i, "label": str(image), "index": image.index})
     payload = {"n": args.n, "start": str(label), "orbit": entries}
-    rows = (("power", "label", "index"), [(e["power"], e["label"], e["index"]) for e in entries])
-    return _emit(payload, args, rows)
+    header = ("power", "label", "index")
+    return _emit(payload, args, lambda: (header, [tuple(e[key] for key in header) for e in entries]))
 
 
 def _cmd_geodesic(args) -> int:
@@ -226,7 +230,7 @@ def _cmd_oracle(args) -> int:
             "match": match,
         }
     )
-    return _emit(payload, args, _fix_rows(payload["symbolic"], payload["bruteforce"]), match)
+    return _emit(payload, args, lambda: _fix_rows(payload["symbolic"], payload["bruteforce"]), match)
 
 
 def build_parser() -> argparse.ArgumentParser:

