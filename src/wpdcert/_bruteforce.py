@@ -13,18 +13,17 @@ A candidate affine map (a x + b, c y + d), a, c != 0, is kept iff
 above asks that some coefficients of the conjugates vanish, so the search
 only evaluates those coefficients at each candidate.  Evaluation at
 (a, b, c, d) is a ring homomorphism, so the survivors are exactly those of
-`reference_fix_candidates`, which conjugates each candidate over F_p.  No
-closed form of the conjugates is typed in anywhere.
+conjugating each candidate over F_p, as the tests' reference search does.
+No closed form of the conjugates is typed in anywhere.
 
-Both return the sorted list of surviving (a, b, c, d) tuples.
+The search returns the sorted list of surviving (a, b, c, d) tuples.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from .fields import PrimeField
-from .polymaps import PolyMap, affine_map, compose, henon_inverse, henon_map
+from .polymaps import affine_map, compose, henon_inverse, henon_map
 
 
 class _CoeffRing:
@@ -124,44 +123,5 @@ def enumerate_fix_candidates(n: int, p: int) -> List[Tuple[int, int, int, int]]:
                 if not holds(stages[2], a, b, c, 0):
                     continue
                 survivors += [(a, b, c, d) for d in range(p) if holds(stages[3], a, b, c, d)]
-    survivors.sort()
-    return survivors
-
-
-def _degree_at_most_one(f: PolyMap) -> bool:
-    return f.comp_x.degree() <= 1 and f.comp_y.degree() <= 1
-
-
-def reference_fix_candidates(n: int, p: int) -> List[Tuple[int, int, int, int]]:
-    """Per-candidate conjugation over F_p: the slow reference for the tests."""
-    field = PrimeField(p)
-    if n % p == 0:
-        raise ValueError("characteristic divides n")
-    h = henon_map(n, field)
-    hinv = henon_inverse(n, field)
-    survivors = []
-    for a in field.units():
-        for c in field.units():
-            for b in range(p):
-                for d in range(p):
-                    f = affine_map(field, a, b, c, d)
-                    fwd = compose(h, compose(f, hinv))
-                    if not _degree_at_most_one(fwd):
-                        continue
-                    bwd = compose(hinv, compose(f, h))
-                    if not _degree_at_most_one(bwd):
-                        continue
-                    if fwd.comp_y.coeff(1, 0) != 0:  # moves p_0
-                        continue
-                    if bwd.comp_x.coeff(0, 1) != 0:  # moves q_0
-                        continue
-                    if n == 2:
-                        fwd2 = compose(h, compose(fwd, hinv))
-                        if not _degree_at_most_one(fwd2):
-                            continue
-                        bwd2 = compose(hinv, compose(bwd, h))
-                        if not _degree_at_most_one(bwd2):
-                            continue
-                    survivors.append((a, b, c, d))
     survivors.sort()
     return survivors

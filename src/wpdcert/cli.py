@@ -10,6 +10,13 @@ so output is byte-stable.
 Each command imports the layers it uses when it runs, and ``_emit`` imports
 ``csv`` only for CSV output, so that a query such as ``orbit`` or ``tube``
 does not pay for loading the certifier or the lattice.
+
+``_emit`` is the one writer of a report.  It writes JSON through ``_dumps``,
+which returns ``json.dumps(v, indent=2)`` byte for byte but lets json's C
+encoder write each flat container and each list of flat records in one call
+(``indent`` alone would select json's pure-Python encoder).  A closed or
+full stdout is an unwritable output like a bad ``--output``: exit 2 with the
+error on stderr.
 """
 
 from __future__ import annotations
@@ -18,11 +25,64 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
+from itertools import chain
 
 
 #: largest --iters of the orbit command (its output grows linearly)
 MAX_ORBIT_ITERS = 10_000
+
+#: the types json writes as scalars, without a call to ``default``
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _c_encode(v, indent: str) -> str:
+    """One call of json's C encoder, with ``indent`` after each item comma."""
+    return json.JSONEncoder(separators=("," + indent, ": ")).encode(v)
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: int, float, bool and None keys as their JSON text."""
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = _c_encode(k, "")
+    return _c_encode(k, "")
+
+
+def _dumps(v, level: int = 0) -> str:
+    """``json.dumps(v, indent=2)``, byte for byte, with the work in json's C encoder.
+
+    The C encoder writes each container whose members are all scalars in one
+    call, with the newline and indent of the members in its item separator.
+    A list of non-empty dicts of scalars (the ``exc`` records of a class, the
+    Fix-set maps) is also one call, made with the separator of the records'
+    members; one ``str.replace`` then re-cuts the record boundaries.  That is
+    sound because a raw newline only ever comes from a separator (json
+    escapes it inside strings), no scalar ends in ``}`` and no key starts
+    with ``{``.  Everything else recurses.
+    """
+    is_dict = isinstance(v, dict)
+    if not is_dict and not isinstance(v, (list, tuple)):
+        return _c_encode(v, "")
+    if not v:
+        return "{}" if is_dict else "[]"
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    types = set(map(type, v.values() if is_dict else v))
+    if types <= _SCALARS:
+        text = _c_encode(v, inner)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not is_dict and types == {dict} and all(v):
+        if set(map(type, chain.from_iterable(map(dict.values, v)))) <= _SCALARS:
+            deep = inner + "  "
+            text = _c_encode(v, deep).replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+            return "[" + inner + "{" + deep + text[2:-2] + inner + "}" + outer + "]"
+    if is_dict:
+        parts = [_key(k) + ": " + _dumps(x, level + 1) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    return "[" + inner + ("," + inner).join([_dumps(x, level + 1) for x in v]) + outer + "]"
 
 
 def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
@@ -30,7 +90,8 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
 
     ``rows`` builds the CSV (header, data) and is called for CSV output only;
     by default the payload is flattened to key/value pairs.  ``passed`` is the
-    command's verdict (queries pass): exit 0 if it holds, 1 if not.
+    command's verdict (queries pass): exit 0 if it holds, 1 if not.  A report
+    that cannot be written, to --output or to stdout, raises ``ValueError``.
     """
     if args.format == "csv":
         import csv
@@ -42,7 +103,7 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
         writer.writerows(data)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -50,7 +111,15 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write --output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the text left in the buffer would fail again at shutdown
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ValueError(f"cannot write stdout: {exc}") from exc
     return 0 if passed else 1
 
 

@@ -11,9 +11,10 @@ from fractions import Fraction
 from scipy.optimize import brentq
 
 from wpdcert.action import ActionDomainError, henon_act
+from wpdcert.fields import PrimeField
 from wpdcert.hyperbolic import HVec, as_vector, mdot
 from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
-from wpdcert.polymaps import Poly2
+from wpdcert.polymaps import Poly2, affine_map, compose, henon_inverse, henon_map
 
 
 def lambert_fourth_vertex(d_dc, d_cb):
@@ -69,6 +70,48 @@ def binomial_backward(field, n, a, b, c, d):
     comp_x[(0, 0)] = field.sub(comp_x.get((0, 0), field.zero), d)
     comp_y = {(0, 1): a, (0, 0): b}
     return Poly2(field, comp_x), Poly2(field, comp_y)
+
+
+def _degree_at_most_one(f):
+    return f.comp_x.degree() <= 1 and f.comp_y.degree() <= 1
+
+
+def reference_fix_candidates(n, p):
+    """Per-candidate conjugation over F_p: the slow reference for the search kernel.
+
+    Returns the sorted (a, b, c, d) of the affine maps the kernel must keep.
+    """
+    field = PrimeField(p)
+    if n % p == 0:
+        raise ValueError("characteristic divides n")
+    h = henon_map(n, field)
+    hinv = henon_inverse(n, field)
+    survivors = []
+    for a in field.units():
+        for c in field.units():
+            for b in range(p):
+                for d in range(p):
+                    f = affine_map(field, a, b, c, d)
+                    fwd = compose(h, compose(f, hinv))
+                    if not _degree_at_most_one(fwd):
+                        continue
+                    bwd = compose(hinv, compose(f, h))
+                    if not _degree_at_most_one(bwd):
+                        continue
+                    if fwd.comp_y.coeff(1, 0) != 0:  # moves p_0
+                        continue
+                    if bwd.comp_x.coeff(0, 1) != 0:  # moves q_0
+                        continue
+                    if n == 2:
+                        fwd2 = compose(h, compose(fwd, hinv))
+                        if not _degree_at_most_one(fwd2):
+                            continue
+                        bwd2 = compose(hinv, compose(bwd, h))
+                        if not _degree_at_most_one(bwd2):
+                            continue
+                    survivors.append((a, b, c, d))
+    survivors.sort()
+    return survivors
 
 
 def reference_intersect(c, d):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_monotonicity_float, reference_w_orbit
+from oracles import reference_fix_candidates, reference_monotonicity_float, reference_w_orbit
 from wpdcert import _bruteforce, action, certifier, lattice
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
@@ -179,7 +179,7 @@ def test_fix_set_bruteforce_validation():
 
 @pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (2, 13), (3, 7), (5, 7), (17, 5)])
 def test_kernel_matches_per_candidate_reference(n, p):
-    assert _bruteforce.enumerate_fix_candidates(n, p) == _bruteforce.reference_fix_candidates(n, p)
+    assert _bruteforce.enumerate_fix_candidates(n, p) == reference_fix_candidates(n, p)
 
 
 def _monotonicity(axis):

@@ -361,6 +361,19 @@ def test_readme_cli_examples_run(capsys, argv):
     json.loads(out)
 
 
+def _run_module(command, **kwargs):
+    """`python -m wpdcert.cli` on the argv, in a fresh interpreter."""
+    src = str(Path(wpdcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "wpdcert.cli", *command.split()],
+        env=dict(os.environ, PYTHONPATH=path),
+        text=True,
+        timeout=120,
+        **kwargs,
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -374,18 +387,26 @@ def test_module_entry_point_matches_main(capsys, command):
     # `python -m wpdcert.cli`, as the README and the benchmark run it, makes
     # cli the __main__ module, where every import inside a command must
     # resolve as well
-    src = str(Path(wpdcert.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wpdcert.cli", *command.split()],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_module(command, capture_output=True)
     code, out, err = run_cli(capsys, *command.split())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("command", ["axis --n 3 --depth 200", "orbit --n 3 --label q0 --iters 4"])
+def test_closed_stdout_exits_2(command):
+    # a reader that is gone: the axis report fails in its write, the small
+    # orbit table at the flush; either way one error line and no shutdown noise
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(command, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"].startswith("cannot write stdout: [Errno 32]")
 
 
 def test_readme_lists_every_command():

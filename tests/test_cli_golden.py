@@ -39,6 +39,9 @@ GOLDEN = [
     ),
     ("oracle --n 2 --prime 7", 0, "925b7868d5be4ff5a1a8d49b6b8e58038fb70aed74857d532531bca97a9796dd"),
     ("oracle --n 2 --prime 7 --format csv", 0, "dc3ee8af11e7ed4da7cecf803d301bf508f7c7972dfadb3a6cdc0d25f5fd24d8"),
+    # the benchmark's largest report (about 700 KB), and Fix-set records over F_17
+    ("axis --n 3 --depth 200", 0, "94b27191e66159a1cf9a348bf2332851712301df04ed78802244d9a3c34fcffd"),
+    ("oracle --n 3 --prime 17", 0, "9b1ac356362648b558b4f7f82f20c432034d0dd18c5fad92b411f5efe4b5464a"),
 ]
 
 
