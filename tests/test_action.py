@@ -10,13 +10,16 @@ from oracles import (
     reference_axis_series,
     reference_henon_act,
     reference_intersect,
+    reference_r_top,
     reference_run_class,
     reference_w_orbit,
 )
 from wpdcert import action
 from wpdcert.action import (
     ActionDomainError,
+    AxisData,
     axis_classes,
+    axis_pairings,
     base_points,
     henon_act,
     orbit_label,
@@ -136,6 +139,12 @@ def test_axis_class_exact_pairings(n, depth):
     assert intersect(ax.r, ax.r) == -2 + 2 * tail_exp
     assert ax.w_norm_sq == 1 + tail_exp
     assert ax.w_scaled == ax.b_plus + ax.b_minus
+    assert axis_pairings(ax) == {
+        "b_cross": 1,
+        "b_plus_self": tail_exp,
+        "b_minus_self": tail_exp,
+        "w_norm_sq": 1 + tail_exp,
+    }
 
 
 def test_axis_series_coefficients():
@@ -177,10 +186,14 @@ def test_translation_displacement_closed_form(n, depth):
 
 
 def test_axis_validation():
-    with pytest.raises(ValueError):
-        axis_classes(1, 5)
-    with pytest.raises(ValueError):
-        axis_classes(2, 0)
+    assert AxisData._fields == ("n", "depth")
+    for build in (AxisData, axis_classes):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            build(1, 5)
+        with pytest.raises(ValueError, match="needs depth >= 1"):
+            build(2, 0)
+        with pytest.raises(ValueError, match="= 10002 exceeds 10000"):
+            build(2, 1666)
 
 
 def test_axis_support_bound():
@@ -297,6 +310,11 @@ def test_gram_equals_the_explicit_orbit_pairings(n, depth):
     orbit = reference_w_orbit(ax, 2)
     explicit = [intersect(orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))]
     assert ax.gram() == (2 * ax.w_norm_sq, *explicit)
+
+
+@pytest.mark.parametrize("n,depth", _GRAM_GRID)
+def test_top_coefficients_from_level_0_equal_the_scan_of_r(n, depth):
+    assert AxisData(n, depth).r_top == reference_r_top(axis_classes(n, depth).r)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (5, 8)])

@@ -278,13 +278,12 @@ def test_monotonicity_verdict_independent_of_summation_order(depth):
     w = axis.w_scaled
     reversed_w = PMClass(w.ell, list(w.exc.items())[::-1])
     assert reversed_w == w and list(reversed_w.exc) != list(w.exc)
-    reversed_axis = axis._replace(w_scaled=reversed_w)
-    orbit = reference_w_orbit(reversed_axis, 2)
+    orbit = {k: action.henon_act(3, reversed_w, k) for k in range(-2, 3)}
     explicit = tuple(intersect(orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2)))
-    assert reversed_axis.gram() == axis.gram() == explicit
+    assert axis.gram() == explicit
     forward = _monotonicity(axis)
     assert forward["ok"]
-    assert _monotonicity(reversed_axis) == forward
+    assert fix_monotonicity_check(explicit, axis.tail_norm_sq) == forward
 
 
 @pytest.mark.parametrize("n,depth", [(2, 2), (3, 20), (7, 30), (2, 800)])
@@ -346,6 +345,16 @@ def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
     assert certify(n, depth).passed
     assert len(pairs) == 4
     assert sum(c is d for c, d in pairs) == 3
+
+
+def test_wrong_worst_case_fails_the_verdict(monkeypatch):
+    # certify reaches worst_case_intersection through this module binding, as
+    # the benchmark's wrong-result injection replaces it
+    real = certifier.worst_case_intersection
+    monkeypatch.setattr(certifier, "worst_case_intersection", lambda n, deg, axis: real(n, deg, axis) - 1)
+    rep = certify(2, 20)
+    assert rep.passed is False
+    assert rep.verdicts["worst_case_exact_ok"] is False
 
 
 def test_certify_smallest_prime_case():

@@ -361,13 +361,17 @@ def test_readme_cli_examples_run(capsys, argv):
     json.loads(out)
 
 
+def _module_env():
+    """The environment in which a fresh interpreter imports this wpdcert."""
+    src = str(Path(wpdcert.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def _run_module(command, **kwargs):
     """`python -m wpdcert.cli` on the argv, in a fresh interpreter."""
-    src = str(Path(wpdcert.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "wpdcert.cli", *command.split()],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_module_env(),
         text=True,
         timeout=120,
         **kwargs,
@@ -406,6 +410,27 @@ def test_closed_stdout_exits_2(command):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"].startswith("cannot write stdout: [Errno 32]")
+
+
+def test_reader_that_closes_mid_report_exits_2():
+    # the reader takes one byte of the 700 KB report and goes: the buffered
+    # write that it cuts short returns a count without an error, and the rest
+    # of the report must still meet the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wpdcert.cli", "axis", "--n", "3", "--depth", "200"],
+        env=_module_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
     assert json.loads(lines[0])["error"].startswith("cannot write stdout: [Errno 32]")
 
 

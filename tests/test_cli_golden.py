@@ -42,6 +42,12 @@ GOLDEN = [
     # the benchmark's largest report (about 700 KB), and Fix-set records over F_17
     ("axis --n 3 --depth 200", 0, "94b27191e66159a1cf9a348bf2332851712301df04ed78802244d9a3c34fcffd"),
     ("oracle --n 3 --prime 17", 0, "9b1ac356362648b558b4f7f82f20c432034d0dd18c5fad92b411f5efe4b5464a"),
+    # large depths, where the n^(2d+2) denominators and the insertion order of
+    # w_scaled (which the geodesic point's float sums follow) show
+    ("certify --n 2 --depth 800", 0, "5bb51290ad1b8034f3ffe7119c1aa60402062330728722839a788ddc0dc22b3b"),
+    ("certify --n 5 --depth 120 --format csv", 0, "26c6904c52657110cf8d0f16f36790955c769d573096c9ec9b968721aa2a8f46"),
+    ("geodesic --n 3 --depth 200 --t 0.4", 0, "df9513c5ca3c48e21d2bd4e949321c3251bf588a0fc21e653425f0d5a88f16b3"),
+    ("axis --n 2 --depth 800 --format csv", 0, "3b9cf1a948428168b0af81405813fbeefeca5bd8c4cf6eb7a3065cf40dc664ed"),
 ]
 
 
