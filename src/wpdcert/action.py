@@ -73,7 +73,10 @@ def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
     shift = i * step if label.family == FAMILY_Q else -i * step
     new_index = label.index + shift
     if new_index < 0:
-        raise ActionDomainError(f"power {i} of the shift map does not act on e[{label}] (index would leave the tower)")
+        raise ActionDomainError(
+            f"power {i} of the shift map does not act on e[{label}] "
+            "(index would leave the tower)"
+        )
     return PointLabel(label.family, new_index, n)
 
 
@@ -157,8 +160,11 @@ def _run_step(n: int, point: RunPoint, sign: int) -> RunPoint:
         raise ActionDomainError(
             f"the step's level-0 image does not continue the {up_family}-run with weight {first}"
         )
-    low = Run(low.count - 1, low.first / n) if low.count else low
-    return RunPoint(image.ell, **{up_family: Run(up.count + 1, first), low_family: low})
+    runs = {
+        up_family: Run(up.count + 1, first),
+        low_family: Run(low.count - 1, low.first / n) if low.count else low,
+    }
+    return RunPoint(image.ell, **runs)
 
 
 def _run_pair(n: int, x: RunPoint, y: RunPoint) -> Fraction:
@@ -239,15 +245,12 @@ class AxisData(namedtuple("AxisData", "n depth")):
         cost does not grow with the depth.
         """
         orbit = self.w_runs(2)
-        return tuple(_run_pair(self.n, orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2)))
+        pairs = ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2))
+        return tuple(_run_pair(self.n, orbit[i], orbit[j]) for i, j in pairs)
 
 
 class AxisClasses(AxisData):
     """AxisData plus its explicit truncation: the PMClass attributes b_plus, b_minus, r, w_scaled."""
-
-    @property
-    def w_norm_sq(self) -> Fraction:
-        return axis_pairings(self)["w_norm_sq"]
 
 
 def axis_classes(n: int, depth: int) -> AxisClasses:
@@ -288,7 +291,10 @@ def axis_classes(n: int, depth: int) -> AxisClasses:
 
 
 def axis_pairings(axis: AxisClasses) -> Dict[str, Fraction]:
-    """b+.b-, b+.b+, b-.b- and w.w of a truncation, exactly: 1, n^(-2*depth-2) twice, and 1 + n^(-2*depth-2)."""
+    """b+.b-, b+.b+, b-.b- and w.w = (w_scaled.w_scaled)/2, paired exactly on each call.
+
+    They equal 1, n^(-2*depth-2) twice, and 1 + n^(-2*depth-2).
+    """
     return {
         "b_cross": intersect(axis.b_plus, axis.b_minus),
         "b_plus_self": intersect(axis.b_plus, axis.b_plus),

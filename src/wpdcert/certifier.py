@@ -335,7 +335,12 @@ class CertReport(namedtuple("CertReport", "n depth prime sections verdicts fix_s
         )
 
 
-def certify(n: int, depth: int = 20, p: Optional[int] = None, eps: Optional[float] = None) -> CertReport:
+def certify(
+    n: int,
+    depth: int = 20,
+    p: Optional[int] = None,
+    eps: Optional[float] = None,
+) -> CertReport:
     """Run the whole pipeline; the report passes iff every verdict holds."""
     from .action import axis_classes, axis_pairings
 
@@ -347,7 +352,10 @@ def certify(n: int, depth: int = 20, p: Optional[int] = None, eps: Optional[floa
     if p is not None:
         _fix_field(n, p)
         if (p - 1) % m != 0:
-            raise ParameterError(f"prime {p} has no full set of (n^2-1)-th roots of unity; pick p = 1 (mod {m})")
+            raise ParameterError(
+                f"prime {p} has no full set of (n^2-1)-th roots of unity; "
+                f"pick p = 1 (mod {m})"
+            )
 
     # the axis refuses an n past its support bound before the float window
     # would overflow on it
@@ -371,7 +379,12 @@ def certify(n: int, depth: int = 20, p: Optional[int] = None, eps: Optional[floa
         "expected_b_cross": Fraction(1),
         "expected_b_self": tail_exp,
         "expected_w_norm_sq": 1 + tail_exp,
-        "ok": pairs == {"b_cross": 1, "b_plus_self": tail_exp, "b_minus_self": tail_exp, "w_norm_sq": 1 + tail_exp},
+        "ok": pairs == {
+            "b_cross": 1,
+            "b_plus_self": tail_exp,
+            "b_minus_self": tail_exp,
+            "w_norm_sq": 1 + tail_exp,
+        },
     }
 
     deg2 = exclusion_data(n, 2, star.chosen_eps, axis)

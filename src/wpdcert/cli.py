@@ -228,10 +228,10 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     from . import report
-    from .action import axis_classes
+    from .action import axis_classes, axis_pairings
 
     axis = axis_classes(args.n, args.depth)
-    w_norm_sq = axis.w_norm_sq
+    w_norm_sq = axis_pairings(axis)["w_norm_sq"]
     cosh_sq = 2 / w_norm_sq  # a Fraction, as w_norm_sq is
     payload = {
         "n": args.n,

@@ -42,7 +42,10 @@ class HVec:
         return HVec(self.ell + other.ell, exc)
 
     def __sub__(self, other: "HVec") -> "HVec":
-        return self + other * -1.0  # a + (-b) is a - b, exactly
+        exc = dict(self.exc)
+        for k, v in other.exc.items():
+            exc[k] = exc.get(k, 0.0) - v
+        return HVec(self.ell - other.ell, exc)
 
     def __mul__(self, t: float) -> "HVec":
         return HVec(self.ell * t, {k: v * t for k, v in self.exc.items()})

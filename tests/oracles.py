@@ -222,7 +222,7 @@ def reference_monotonicity_float(axis, orbit):
     2 asinh(sqrt(-B(x-y, x-y)) / 2), which stays accurate near 0; the verdict
     allows 1e-7 + 10 sqrt(tail_norm_sq).
     """
-    unit = 1.0 / math.sqrt(float(2 * axis.w_norm_sq))
+    unit = 1.0 / math.sqrt(float(reference_intersect(axis.w_scaled, axis.w_scaled)))
     points = [as_vector(orbit[k]) * unit for k in (-2, -1, 0, 1, 2)]
 
     def dist(x, y):

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
-from wpdcert.action import axis_classes, orbit_label
+from wpdcert.action import axis_classes, axis_pairings, orbit_label
 from wpdcert.certifier import (
     degree_bound,
     epsilon_window,
@@ -48,7 +48,7 @@ def test_01_axis_normalization_exact():
     with criterion(1, "axis normalization (exact)"):
         for n in (2, 3, 5):
             ax = axis_classes(n, 20)
-            assert ax.w_norm_sq == 1 + Fraction(1, n**42)
+            assert axis_pairings(ax)["w_norm_sq"] == 1 + Fraction(1, n**42)
             assert intersect(ax.b_plus, ax.b_minus) == 1
 
 

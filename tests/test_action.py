@@ -137,7 +137,6 @@ def test_axis_class_exact_pairings(n, depth):
     assert ax.tail_norm_sq == 2 * tail_exp
     assert intersect(ax.r, L) == 0
     assert intersect(ax.r, ax.r) == -2 + 2 * tail_exp
-    assert ax.w_norm_sq == 1 + tail_exp
     assert ax.w_scaled == ax.b_plus + ax.b_minus
     assert axis_pairings(ax) == {
         "b_cross": 1,
@@ -308,8 +307,8 @@ _GRAM_GRID += [(2, 800), (3, 250), (5, 120), (2, 1665)]
 def test_gram_equals_the_explicit_orbit_pairings(n, depth):
     ax = axis_classes(n, depth)
     orbit = reference_w_orbit(ax, 2)
-    explicit = [intersect(orbit[i], orbit[j]) for i, j in ((0, 1), (-1, 1), (-1, 2), (-2, 2))]
-    assert ax.gram() == (2 * ax.w_norm_sq, *explicit)
+    explicit = [intersect(orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2))]
+    assert ax.gram() == tuple(explicit)
 
 
 @pytest.mark.parametrize("n,depth", _GRAM_GRID)
