@@ -20,10 +20,9 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .lattice import intersect  # noqa: F401 -- bound so that a counter patched in shows certify pairs nothing
 from .report import to_json
 
-if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips action
+if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips action and lattice
     from .action import AxisData
     from .fields import PrimeField
     from .polymaps import PolyMap
@@ -224,9 +223,10 @@ def fix_set_symbolic(n: int, p: Optional[int] = None):
 def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     """Exhaustive search over all affine (a x + b, c y + d), a, c != 0, in F_p.
 
-    Independent oracle for the Fix set: keeps candidates whose generic
-    conjugates by the shift map pass the degree-1 and base-point checks (see
-    _bruteforce), derived once by generic conjugation over F_p[a, b, c, d].
+    Independent oracle for the Fix set: keeps candidates whose conjugates by
+    the shift map pass the degree-1 and base-point checks (see _bruteforce):
+    the single conjugates derived once by generic conjugation over
+    F_p[a, b, c, d], the n = 2 double conjugates composed on the survivors.
     n past _MAX_BRUTEFORCE_N and p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES
     are refused with a ParameterError (the latter by _fix_field).
     """

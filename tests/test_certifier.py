@@ -23,6 +23,7 @@ from wpdcert.certifier import (
     worst_case_intersection,
 )
 from wpdcert.lattice import PMClass, intersect
+from wpdcert.fields import PrimeField
 from wpdcert.polymaps import diagonal_affine_parts
 
 SQRT2 = math.sqrt(2.0)
@@ -177,9 +178,40 @@ def test_fix_set_bruteforce_validation():
         fix_set_symbolic(2, 2**61 - 1)  # refused before the primality test
 
 
-@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (2, 13), (3, 7), (5, 7), (17, 5)])
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 7), (5, 7), (17, 5)])
 def test_kernel_matches_per_candidate_reference(n, p):
     assert _bruteforce.enumerate_fix_candidates(n, p) == reference_fix_candidates(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(2, 7), (2, 11), (3, 7)])
+def test_double_conjugates_are_composed_on_the_stage_survivors(monkeypatch, n, p):
+    # the ring expands the two single conjugates only (two compositions each);
+    # for n = 2 each stage survivor, and nothing else, is composed over F_p
+    # into its two double conjugates (four compositions each)
+    fields, checked = [], []
+    real_compose, real_check = _bruteforce.compose, _bruteforce._double_conjugates_affine
+
+    def compose(f, g):
+        fields.append(f.field)
+        return real_compose(f, g)
+
+    def check(n, field, abcd):
+        checked.append(abcd)
+        return real_check(n, field, abcd)
+
+    monkeypatch.setattr(_bruteforce, "compose", compose)
+    monkeypatch.setattr(_bruteforce, "_double_conjugates_affine", check)
+    survivors = _bruteforce.enumerate_fix_candidates(n, p)
+    assert sum(isinstance(f, _bruteforce._CoeffRing) for f in fields) == 4
+    assert sorted(checked) == (survivors if n == 2 else [])
+    assert fields.count(PrimeField(p)) == 8 * len(checked)
+
+
+def test_double_conjugate_check_rejects_a_translation():
+    # the survivors' check is not vacuous: both single conjugates of (x + 1, y)
+    # have degree 1 (it fails only the q_0 check), but h^-2 f h^2 has degree 4
+    assert _bruteforce._double_conjugates_affine(2, PrimeField(7), (1, 0, 1, 0))
+    assert not _bruteforce._double_conjugates_affine(2, PrimeField(7), (1, 1, 1, 0))
 
 
 def _monotonicity(axis):
@@ -341,7 +373,6 @@ def test_certify_pairs_w_with_itself_once(monkeypatch, n, depth):
         return real(c, d)
 
     monkeypatch.setattr(action, "intersect", counted)
-    monkeypatch.setattr(certifier, "intersect", counted)
     assert certify(n, depth).passed
     assert len(pairs) == 4
     assert sum(c is d for c, d in pairs) == 3

@@ -1,7 +1,7 @@
 """Import footprint: each command loads only the wpdcert layers it uses.
 
 A query loads no layer it does not call: ``tube`` neither the lattice nor the
-certifier, ``oracle`` not the action, symbolic ``certify`` no field or map.
+certifier, ``oracle`` neither the action nor the lattice, symbolic ``certify`` no field or map.
 
 Every command runs in a fresh interpreter, which records the loaded modules,
 runs ``cli.main`` on the argv and reports the modules that the command loaded.
@@ -39,7 +39,7 @@ FOOTPRINTS = [
     ("geodesic --n 2 --depth 20 --t 0.4", AXIS | {"wpdcert.hyperbolic"}),
     ("certify --n 3 --depth 12", CERTIFY),
     ("certify --n 2 --depth 8 --prime 7", SEARCH),
-    ("oracle --n 2 --prime 7", SEARCH - {"wpdcert.action"}),
+    ("oracle --n 2 --prime 7", SEARCH - {"wpdcert.action", "wpdcert.lattice"}),
 ]
 
 
