@@ -17,7 +17,8 @@ matches repeated ``PMClass.__add__``, which matters because float conversions
 downstream sum in dict order.  AxisData(n, depth) derives the rest of an
 axis truncation: the largest coefficients from the level-0 blocks, and the
 Gram sequence of the axis point in run form (l plus one geometric run of
-blocks per tower), four steps on one level-0 block each at any depth.
+blocks per tower), from the images of l and of one level-0 block per
+direction at any depth.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def orbit_label(n: int, label: PointLabel, i: int) -> PointLabel:
             f"power {i} of the shift map does not act on e[{label}] "
             "(index would leave the tower)"
         )
-    return PointLabel(label.family, new_index, n)
+    # the family and n are the valid label's own and the index was just
+    # checked, so the image skips PointLabel's validation
+    return tuple.__new__(PointLabel, (label.family, new_index, n))
 
 
 def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
@@ -141,30 +144,42 @@ Run = namedtuple("Run", "count first")
 RunPoint = namedtuple("RunPoint", "ell q p")
 
 
-def _run_step(n: int, point: RunPoint, sign: int) -> RunPoint:
-    """One application of the shift map (sign=+1) or its inverse (sign=-1) to a run-form point.
+def _run_step(n: int, point: RunPoint, sign: int, count: int = 1) -> List[RunPoint]:
+    """The first count images of a run-form point under the shift map (sign=+1) or its inverse (sign=-1).
 
-    The step moves the upper family's run (q for sign=+1) one level up and
+    A step moves the upper family's run (q for sign=+1) one level up and
     the lower family's run one level down.  What crosses level 0, the l-part
-    and the lower run's level-0 block (at most 2n-1 labels), goes through
-    henon_act; its image is the new l-part plus a multiple of the upper
-    level-0 block, which must carry first*n, the weight that continues the
-    upper run, or the image has no run form and ActionDomainError is raised.
+    and the lower run's level-0 block, maps linearly: henon_act is asked
+    once for the images of l and of the lower level-0 block, each a multiple
+    of l plus a multiple of the upper level-0 block, and every step combines
+    the two in scalar arithmetic.  The combined block weight must be
+    first*n, the weight that continues the upper run, or the image has no
+    run form and ActionDomainError is raised.
     """
     up_family, low_family = (FAMILY_Q, FAMILY_P) if sign == 1 else (FAMILY_P, FAMILY_Q)
-    up, low = getattr(point, up_family), getattr(point, low_family)
-    head = [(label, low.first * m) for label, m in base_points(n, low_family)] if low.count else ()
-    image = henon_act(n, PMClass(point.ell, head), sign)
-    first = up.first * n
-    if image.exc != {label: first * m for label, m in base_points(n, up_family) if first}:
-        raise ActionDomainError(
-            f"the step's level-0 image does not continue the {up_family}-run with weight {first}"
-        )
-    runs = {
-        up_family: Run(up.count + 1, first),
-        low_family: Run(low.count - 1, low.first / n) if low.count else low,
-    }
-    return RunPoint(image.ell, **runs)
+    l_image = henon_act(n, PMClass(1), sign)
+    block_image = henon_act(n, PMClass(0, base_points(n, low_family)), sign)
+    # the images are n*l - B and (n^2-1)*l - n*B, B the upper level-0 block:
+    # each is its l-part plus its weight on B, read at B's first label
+    up_label, up_m = base_points(n, up_family)[0]
+    l_weight = l_image.coeff(up_label) / up_m
+    block_weight = block_image.coeff(up_label) / up_m
+    points = []
+    for _ in range(count):
+        up, low = getattr(point, up_family), getattr(point, low_family)
+        head = low.first if low.count else 0
+        first = up.first * n
+        if point.ell * l_weight + head * block_weight != first:
+            raise ActionDomainError(
+                f"the step's level-0 image does not continue the {up_family}-run with weight {first}"
+            )
+        runs = {
+            up_family: Run(up.count + 1, first),
+            low_family: Run(low.count - 1, low.first / n) if low.count else low,
+        }
+        point = RunPoint(point.ell * l_image.ell + head * block_image.ell, **runs)
+        points.append(point)
+    return points
 
 
 def _run_pair(n: int, x: RunPoint, y: RunPoint) -> Fraction:
@@ -225,15 +240,13 @@ class AxisData(namedtuple("AxisData", "n depth")):
         """h^k(w_scaled) in run form for k = -reach..reach, walked outward one step at a time.
 
         w_scaled = b_plus + b_minus is 2*l plus a run of depth+1 levels with
-        first weight -1/n in each family; 2*reach steps in all, each of which
-        hands henon_act the l-part and one level-0 block only.
+        first weight -1/n in each family; each direction hands henon_act l
+        and one level-0 block once, and its reach steps are scalar arithmetic.
         """
         run = Run(self.depth + 1, Fraction(-1, self.n))
         orbit = {0: RunPoint(Fraction(2), run, run)}
         for sign in (1, -1):
-            point = orbit[0]
-            for k in range(1, reach + 1):
-                point = _run_step(self.n, point, sign)
+            for k, point in enumerate(_run_step(self.n, orbit[0], sign, reach), 1):
                 orbit[sign * k] = point
         return orbit
 

@@ -245,7 +245,7 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
 # Fix-set monotonicity (geometric inclusion hypothesis)
 
 
-def _gram_det(g: tuple, powers: tuple) -> Fraction:
+def _gram_det(g: tuple, powers: tuple) -> int:
     """Determinant of the Gram matrix of h^k(w_scaled), k in powers: entry (i, j) is g[|i - j|]."""
     m = [[g[abs(i - j)] for j in powers] for i in powers]
     if len(m) == 2:
@@ -274,22 +274,31 @@ def fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     distance delta_j from the geodesic through h^-2(w) and h^2(w) with
     sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix of the ends
     and G3_j that of the ends and h^j(w).  The verdict needs
-    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction,
-    and sinh^2 delta_j >= 0, which no g of points on the hyperboloid
-    violates; ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq,
-    as a float for display only.
+    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1 and sinh^2 delta_j >= 0,
+    which no g of points on the hyperboloid violates.  Both are decided on
+    integers: g times its common denominator D scales det G2 by D^2, det G3_j
+    and g_0 det G2 by D^3, and sinh^2 delta_j not at all, so each ratio
+    sinh^2 delta_j / tail_norm_sq is an integer over one positive integer.
+    ``deviation_ratio`` is the largest ratio, as a float for display only.
     """
+    parts = [x.as_integer_ratio() for x in g]
+    common = math.lcm(*(den for _, den in parts))
+    g = [num * (common // den) for num, den in parts]  # D g, in integers
     ordered = all(g[k] < g[k + 1] for k in range(4))
     det2 = _gram_det(g, (-2, 2))
-    ratios = []  # stays empty when the ends coincide: no geodesic to measure against
-    if det2:
-        scale = g[0] * det2 * tail_norm_sq
-        ratios = [-_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1)]
+    if not det2:  # the ends coincide: no geodesic to measure against
+        return {"mode": "exact", "deviation_ratio": None, "ordered": ordered, "ok": False}
+    tail_num, tail_den = tail_norm_sq.as_integer_ratio()
+    # ratio_j = nums[j] / scale, with the sign moved onto the numerators
+    scale = g[0] * det2 * tail_num
+    nums = [-_gram_det(g, (-2, 2, j)) * tail_den for j in (-1, 0, 1)]
+    if scale < 0:
+        scale, nums = -scale, [-x for x in nums]
     return {
         "mode": "exact",
-        "deviation_ratio": float(max(ratios)) if ratios else None,
+        "deviation_ratio": max(nums) / scale,  # int true division rounds correctly, as float(Fraction) does
         "ordered": ordered,
-        "ok": ordered and bool(ratios) and 0 <= min(ratios) and max(ratios) <= 1,
+        "ok": ordered and 0 <= min(nums) and max(nums) <= scale,
     }
 
 

@@ -186,24 +186,39 @@ def _accumulate(exc: dict, terms: Iterable[Tuple[PointLabel, Fraction]]) -> None
 def intersect(c: PMClass, d: PMClass) -> Fraction:
     """Intersection pairing; bilinear, symmetric, signature (1, oo).
 
-    The exceptional products are summed as integers per denominator, and
-    those sums once over the common denominator: exactly the same value,
-    without a Fraction normalisation per label.  Each coefficient is read
-    once, by ``as_integer_ratio``.
+    The l-product and the exceptional products are summed as integers per
+    denominator, and those sums once over the common denominator: exactly
+    the same value, with one Fraction normalisation per call.  A label whose
+    two coefficients are the same objects as the previous shared label's
+    reuses that product: the axis truncation shares one Fraction per level
+    coefficient, so its pairings multiply once per run of such labels.
     """
     a, b = c.exc, d.exc
     if len(b) < len(a):
         a, b = b, a
-    by_den = {}
+    xn, xd = c.ell.as_integer_ratio()
+    yn, yd = d.ell.as_integer_ratio()
+    by_den = {xd * yd: [xn * yn]}  # denominator -> [sum of its numerators], one lookup per label
+    px = py = None
     for label, x in a.items():
         y = b.get(label)
-        if y is not None:
-            xn, xd = x.as_integer_ratio()
-            yn, yd = y.as_integer_ratio()
-            den = xd * yd
-            by_den[den] = by_den.get(den, 0) + xn * yn
+        if y is None:
+            continue
+        if x is px and y is py:
+            cell[0] -= num
+            continue
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        num = xn * yn
+        den = xd * yd
+        cell = by_den.get(den)
+        if cell is None:
+            cell = by_den[den] = [-num]
+        else:
+            cell[0] -= num
+        px, py = x, y
     common = math.lcm(*by_den)
-    return c.ell * d.ell - Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
+    return Fraction(sum(cell[0] * (common // den) for den, cell in by_den.items()), common)
 
 
 def to_json_dict(c: PMClass) -> dict:

@@ -251,3 +251,53 @@ def reference_monotonicity_float(axis, orbit):
         "ordered": ordered,
         "ok": ordered and max_dev <= tolerance,
     }
+
+
+def _reference_gram_det(g: tuple, powers: tuple) -> Fraction:
+    """Determinant of the Gram matrix of h^k(w_scaled), k in powers: entry (i, j) is g[|i - j|]."""
+    m = [[g[abs(i - j)] for j in powers] for i in powers]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def reference_fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
+    """The Fix-set monotonicity check on Fraction determinants: the reference for certifier's integer one.
+
+    Verify the convexity hypothesis behind the Fix-set inclusion chain, exactly.
+
+    The five truncated axis points h^k(w), k = -2..2, must lie in order on a
+    common geodesic up to the tail; then for every isometry at once, moving
+    the outer pair by at most eps moves the inner points by at most eps plus
+    twice their distance from that geodesic.  Direct evaluation on the Fix
+    members themselves would need the action on infinitely-near points, which
+    is out of scope.
+
+    The shift map is an isometry, so the Gram matrix of the orbit is Toeplitz
+    in g = (g_0, .., g_4), g_k = B(w_scaled, h^k w_scaled), as returned by
+    AxisData.gram; tail_norm_sq is the axis's exact tail bound.  The points
+    are ordered when g_0 < g_1 < g_2 < g_3 < g_4, and h^j(w) lies at
+    distance delta_j from the geodesic through h^-2(w) and h^2(w) with
+    sinh^2 delta_j = -det G3_j / (g_0 det G2), G2 the Gram matrix of the ends
+    and G3_j that of the ends and h^j(w).  The verdict needs
+    sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction,
+    and sinh^2 delta_j >= 0, which no g of points on the hyperboloid
+    violates; ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq,
+    as a float for display only.
+    """
+    ordered = all(g[k] < g[k + 1] for k in range(4))
+    det2 = _reference_gram_det(g, (-2, 2))
+    ratios = []  # stays empty when the ends coincide: no geodesic to measure against
+    if det2:
+        scale = g[0] * det2 * tail_norm_sq
+        ratios = [-_reference_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1)]
+    return {
+        "mode": "exact",
+        "deviation_ratio": float(max(ratios)) if ratios else None,
+        "ordered": ordered,
+        "ok": ordered and bool(ratios) and 0 <= min(ratios) and max(ratios) <= 1,
+    }

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     reference_act_once,
     reference_axis_series,
+    reference_fix_monotonicity_check,
     reference_henon_act,
     reference_intersect,
     reference_r_top,
@@ -24,6 +26,7 @@ from wpdcert.action import (
     henon_act,
     orbit_label,
 )
+from wpdcert.certifier import fix_monotonicity_check
 from wpdcert.lattice import PMClass, PointLabel, exceptional, intersect, line_class, p_label, q_label
 from wpdcert.polymaps import degree, henon_map
 
@@ -54,6 +57,28 @@ def test_orbit_label_examples():
     assert orbit_label(3, p_label(2, 3), -2) == p_label(12, 3)
     # shifts toward the base of the tower are allowed while indices stay >= 0
     assert orbit_label(2, q_label(3, 2), -1) == q_label(0, 2)
+
+
+@given(
+    st.sampled_from(["p", "q"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=-500, max_value=500),
+)
+def test_orbit_label_is_the_validated_label(family, index, n, i):
+    # orbit_label skips PointLabel's checks: its image must still be the
+    # label the validating constructor builds, of type PointLabel
+    label = PointLabel(family, index, n)
+    with pytest.raises(ActionDomainError, match="does not belong"):
+        orbit_label(n + 1, label, i)
+    shift = i * (2 * n - 1) if family == "q" else -i * (2 * n - 1)
+    if index + shift < 0:
+        with pytest.raises(ActionDomainError, match="index would leave the tower"):
+            orbit_label(n, label, i)
+        return
+    image = orbit_label(n, label, i)
+    assert image == PointLabel(family, index + shift, n)
+    assert type(image) is PointLabel
 
 
 def test_orbit_label_domain_errors():
@@ -309,6 +334,14 @@ def test_gram_equals_the_explicit_orbit_pairings(n, depth):
     orbit = reference_w_orbit(ax, 2)
     explicit = [intersect(orbit[i], orbit[j]) for i, j in ((0, 0), (0, 1), (-1, 1), (-1, 2), (-2, 2))]
     assert ax.gram() == tuple(explicit)
+
+
+@pytest.mark.parametrize("n,depth", _GRAM_GRID)
+def test_integer_monotonicity_check_equals_the_fraction_reference(n, depth):
+    # all four keys, deviation_ratio to the last bit of its float
+    ax = AxisData(n, depth)
+    g = ax.gram()
+    assert fix_monotonicity_check(g, ax.tail_norm_sq) == reference_fix_monotonicity_check(g, ax.tail_norm_sq)
 
 
 @pytest.mark.parametrize("n,depth", _GRAM_GRID)

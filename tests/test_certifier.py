@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_fix_candidates, reference_monotonicity_float, reference_w_orbit
+from oracles import (
+    reference_fix_candidates,
+    reference_fix_monotonicity_check,
+    reference_monotonicity_float,
+    reference_w_orbit,
+)
 from wpdcert import _bruteforce, action, certifier, lattice
 from wpdcert.action import axis_classes
 from wpdcert.certifier import (
@@ -218,6 +223,13 @@ def _monotonicity(axis):
     return fix_monotonicity_check(axis.gram(), axis.tail_norm_sq)
 
 
+def _checked_monotonicity(g, tail_norm_sq):
+    """The integer check on g, after pinning all four keys to the Fraction reference."""
+    result = fix_monotonicity_check(g, tail_norm_sq)
+    assert result == reference_fix_monotonicity_check(g, tail_norm_sq)
+    return result
+
+
 def test_monotonicity_check():
     for n in range(2, 11):
         result = _monotonicity(axis_classes(n, 20))
@@ -233,7 +245,7 @@ def test_monotonicity_on_the_untruncated_axis(n):
     # g_k = n^k + n^-k is the Gram sequence of the true axis point: five
     # points exactly on one geodesic, so every sinh^2 delta_j is 0
     g = tuple(Fraction(n) ** k + Fraction(n) ** -k for k in range(5))
-    result = fix_monotonicity_check(g, Fraction(2, n**42))
+    result = _checked_monotonicity(g, Fraction(2, n**42))
     assert result == {"mode": "exact", "deviation_ratio": 0.0, "ordered": True, "ok": True}
 
 
@@ -267,10 +279,10 @@ def test_exact_monotonicity_agrees_with_float_reference(n):
 def test_monotonicity_fails_on_a_disordered_orbit():
     axis = axis_classes(3, 12)
     g0, g1, g2, g3, g4 = axis.gram()
-    result = fix_monotonicity_check((g0, g2, g1, g3, g4), axis.tail_norm_sq)
+    result = _checked_monotonicity((g0, g2, g1, g3, g4), axis.tail_norm_sq)
     assert not result["ordered"] and not result["ok"]
     # a repeated point (g_1 = g_0) is not in order either
-    assert not fix_monotonicity_check((g0, g0, g2, g3, g4), axis.tail_norm_sq)["ordered"]
+    assert not _checked_monotonicity((g0, g0, g2, g3, g4), axis.tail_norm_sq)["ordered"]
 
 
 def test_monotonicity_fails_off_the_geodesic():
@@ -278,7 +290,7 @@ def test_monotonicity_fails_off_the_geodesic():
     # the geodesic through its ends
     axis = axis_classes(3, 12)
     g0, g1, g2, g3, g4 = axis.gram()
-    result = fix_monotonicity_check((g0, g1 + Fraction(1, 100), g2, g3, g4), axis.tail_norm_sq)
+    result = _checked_monotonicity((g0, g1 + Fraction(1, 100), g2, g3, g4), axis.tail_norm_sq)
     assert result["ordered"] and not result["ok"]
     assert result["deviation_ratio"] > 1
 
@@ -290,14 +302,14 @@ def test_monotonicity_refuses_a_negative_sinh_squared(raise_g0_by):
     axis = axis_classes(3, 12)
     g0, g1, g2, g3, g4 = axis.gram()
     bump = axis.tail_norm_sq if raise_g0_by == "tail" else raise_g0_by
-    result = fix_monotonicity_check((g0 + bump, g1, g2, g3, g4), axis.tail_norm_sq)
+    result = _checked_monotonicity((g0 + bump, g1, g2, g3, g4), axis.tail_norm_sq)
     assert result["ordered"] and not result["ok"]
     assert result["deviation_ratio"] < 0
 
 
 def test_monotonicity_refuses_coinciding_ends():
     # g_4 = -g_0 makes det G2 = 0: no geodesic through the ends to measure against
-    result = fix_monotonicity_check(tuple(map(Fraction, (-2, -1, 0, 1, 2))), Fraction(1))
+    result = _checked_monotonicity(tuple(map(Fraction, (-2, -1, 0, 1, 2))), Fraction(1))
     assert result == {"mode": "exact", "deviation_ratio": None, "ordered": True, "ok": False}
 
 
@@ -344,8 +356,8 @@ def _count_steps(monkeypatch):
 
 @pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (2, 800)])
 def test_certify_walks_each_shift_map_step_once(monkeypatch, n, depth):
-    # the axis truncation takes no step; 4 walk h^k(w) for k = -2..2 in run
-    # form, each on the l-part and one level-0 block, whatever the depth
+    # the axis truncation takes no step; the run-form walk of h^k(w) for
+    # k = -2..2 maps l and one level-0 block once per direction, whatever the depth
     steps = _count_steps(monkeypatch)
     assert certify(n, depth).passed
     assert sorted(sign for sign, _ in steps) == [-1, -1, 1, 1]

@@ -177,3 +177,38 @@ _wide_classes = st.builds(
 @given(_wide_classes, _wide_classes)
 def test_intersect_equals_plain_fraction_sum(c, d):
     assert intersect(c, d) == reference_intersect(c, d)
+
+
+_shared_labels = st.builds(PointLabel, st.sampled_from(["p", "q"]), st.integers(min_value=0, max_value=11), st.just(3))
+
+
+@st.composite
+def _shared_pairs(draw):
+    """Two classes built by from_canonical on a small pool of Fraction objects.
+
+    Each object sits on many labels, in runs or interleaved; the second class
+    takes either the same objects or equal values held in distinct objects.
+    """
+    pool = draw(st.lists(_wide_fractions.filter(bool), min_size=1, max_size=4))
+    copies = [Fraction(x.numerator, x.denominator) for x in pool]
+    assert all(x == y and x is not y for x, y in zip(pool, copies))
+
+    def build(objects):
+        picks = list(draw(st.dictionaries(_shared_labels, st.integers(0, len(objects) - 1), max_size=24)).items())
+        if draw(st.booleans()):
+            picks.sort(key=lambda item: item[1])  # each object on one contiguous run of labels
+        return PMClass.from_canonical(draw(_wide_fractions), {label: objects[i] for label, i in picks})
+
+    c = build(pool)
+    d = build(draw(st.sampled_from([pool, copies])))
+    return c, d
+
+
+@given(_shared_pairs())
+def test_intersect_on_shared_coefficient_objects(pair):
+    c, d = pair
+    assert intersect(c, d) == reference_intersect(c, d)
+    assert intersect(d, c) == reference_intersect(d, c)
+    # the same object on both sides of every label
+    assert intersect(c, c) == reference_intersect(c, c)
+    assert intersect(d, d) == reference_intersect(d, d)
