@@ -10,21 +10,23 @@ would need the full resolution lattice, which is not modeled; only the
 aggregate block e_n^+/- has a forced image via the group law.
 
 Cost: one step writes its image into a single dict in one pass over the
-class, so it is linear in the support; a truncation at depth d writes the
-images of the base points under powers up to d straight from the tower, with
-no step, and is linear in its support 2(2n-1)(d+1).  Label insertion order
-matches repeated ``PMClass.__add__``, which matters because float conversions
-downstream sum in dict order.  AxisData(n, depth) derives the rest of an
-axis truncation: the largest coefficients from the level-0 blocks, and the
-Gram sequence of the axis point in run form (l plus one geometric run of
-blocks per tower), from the images of l and of one level-0 block per
-direction at any depth.
+class, so it is linear in the support; a truncation at depth d takes no
+step: the images of the base points under powers up to d are the tower
+labels of index below (2n-1)(d+1), so each label of its support
+2(2n-1)(d+1) is built once from its index and stored by dict(zip(...)).
+Label insertion order matches repeated ``PMClass.__add__``, which matters
+because float conversions downstream sum in dict order.  AxisData(n, depth)
+derives the rest of an axis truncation: the largest coefficients from the
+level-0 blocks, and the Gram sequence of the axis point in run form (l plus
+one geometric run of blocks per tower), from the images of l and of one
+level-0 block per direction at any depth.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Dict, List, Tuple
 
 from .lattice import (
@@ -273,33 +275,43 @@ def axis_classes(n: int, depth: int) -> AxisClasses:
     series, and w_scaled = 2*l - r = b_plus + b_minus is the projection of l
     onto the axis times sqrt(2), so that every coefficient stays rational.
     Level i contributes h^i(e_minus) and h^-i(e_plus) with weight n^-(i+1):
-    each base point's image orbit_label(n, label, +-i) with that point's own
-    multiplicity, q-tower then p-tower, written into dicts in one pass, with
-    w_scaled holding the b-coefficient objects themselves.
+    the images of a tower's base points under the i-th power are the labels
+    i(2n-1) .. i(2n-1)+2n-2 of the q-tower (forward) and of the p-tower
+    (backward), each with its base point's multiplicity.  So every label is
+    built once, in index order, and the four dicts are filled from them in
+    bulk: r and w_scaled level by level, q-tower then p-tower, the order of
+    repeated addition.  Each level has one Fraction per distinct coefficient
+    m/n^(i+1) and one for its negation: r holds the positive ones, and b_plus,
+    b_minus and w_scaled share the negated ones.
     """
     axis = AxisClasses(n, depth)
-    b_plus = {}
-    b_minus = {}
-    r = {}
-    w_scaled = {}  # 2*l - r = b_plus + b_minus: the b-coefficient of each label
-    towers = ((base_points(n, FAMILY_Q), 1, b_plus), (base_points(n, FAMILY_P), -1, b_minus))
-    for i in range(depth + 1):
-        # one Fraction per distinct coefficient m/n^(i+1) of the level and one
-        # for its negation, shared by every label that carries it
-        den = n ** (i + 1)
-        pos = {m: Fraction(m, den) for m in {n - 1, 1}}
-        neg = {m: -c for m, c in pos.items()}
-        # every level covers labels no other level touches, so plain stores
-        # keep the insertion order of repeated addition
-        for tower, sign, b in towers:
-            for label, m in tower:
-                image = orbit_label(n, label, sign * i)
-                r[image] = pos[m]
-                b[image] = w_scaled[image] = neg[m]
-    axis.b_plus = PMClass.from_canonical(Fraction(1), b_plus)
-    axis.b_minus = PMClass.from_canonical(Fraction(1), b_minus)
-    axis.r = PMClass.from_canonical(Fraction(0), r)
-    axis.w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
+    step = 2 * n - 1
+    size = step * (depth + 1)
+    # the index-ordered labels of each tower, built without PointLabel's validation
+    q, p = (
+        list(map(tuple.__new__, repeat(PointLabel, size), zip(repeat(family, size), range(size), repeat(n, size))))
+        for family in (FAMILY_Q, FAMILY_P)
+    )
+    pos = []  # per level: one tower's coefficients, (n-1, 1, ..., 1)/n^(i+1)
+    neg = []  # and their negations
+    den = 1
+    for _ in range(depth + 1):
+        den *= n
+        one = Fraction(1, den)
+        minus_one = -one
+        # at n = 2 the marked point's multiplicity n-1 is 1 too: one object each
+        top = Fraction(n - 1, den) if n > 2 else one
+        minus_top = -top if n > 2 else minus_one
+        pos.append((top,) + (one,) * (step - 1))
+        neg.append((minus_top,) + (minus_one,) * (step - 1))
+    flat = chain.from_iterable
+    # zip(*[iter(x)] * step) cuts x into its levels; level by level, q-tower then p-tower
+    labels = list(flat(flat(zip(zip(*[iter(q)] * step), zip(*[iter(p)] * step)))))
+    tower_neg = list(flat(neg))
+    axis.b_plus = PMClass.from_canonical(Fraction(1), dict(zip(q, tower_neg)))
+    axis.b_minus = PMClass.from_canonical(Fraction(1), dict(zip(p, tower_neg)))
+    axis.r = PMClass.from_canonical(Fraction(0), dict(zip(labels, flat(flat(zip(pos, pos))))))
+    axis.w_scaled = PMClass.from_canonical(Fraction(2), dict(zip(labels, flat(flat(zip(neg, neg))))))
     return axis
 
 

@@ -279,6 +279,8 @@ def fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     integers: g times its common denominator D scales det G2 by D^2, det G3_j
     and g_0 det G2 by D^3, and sinh^2 delta_j not at all, so each ratio
     sinh^2 delta_j / tail_norm_sq is an integer over one positive integer.
+    A g with g_0 <= 0, which no point on the hyperboloid has, or with
+    coinciding ends (det G2 = 0) is refused with no ratio.
     ``deviation_ratio`` is the largest ratio, as a float for display only.
     """
     parts = [x.as_integer_ratio() for x in g]
@@ -286,7 +288,9 @@ def fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     g = [num * (common // den) for num, den in parts]  # D g, in integers
     ordered = all(g[k] < g[k + 1] for k in range(4))
     det2 = _gram_det(g, (-2, 2))
-    if not det2:  # the ends coincide: no geodesic to measure against
+    # g_0 = B(w, w) > 0 for every point on the hyperboloid, and when the ends
+    # coincide there is no geodesic to measure against
+    if g[0] <= 0 or not det2:
         return {"mode": "exact", "deviation_ratio": None, "ordered": ordered, "ok": False}
     tail_num, tail_den = tail_norm_sq.as_integer_ratio()
     # ratio_j = nums[j] / scale, with the sign moved onto the numerators

@@ -187,11 +187,16 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
     """Intersection pairing; bilinear, symmetric, signature (1, oo).
 
     The l-product and the exceptional products are summed as integers per
-    denominator, and those sums once over the common denominator: exactly
-    the same value, with one Fraction normalisation per call.  A label whose
-    two coefficients are the same objects as the previous shared label's
-    reuses that product: the axis truncation shares one Fraction per level
-    coefficient, so its pairings multiply once per run of such labels.
+    denominator, and those sums are folded in insertion order into one
+    integer over a running denominator: exactly the same value, with one
+    Fraction normalisation per call.  A denominator that is a multiple of
+    the running one, as each level's of an axis truncation is of the levels
+    before it, scales the running sum by their small quotient; any other
+    joins through their gcd.  So no step divides one common denominator by
+    every denominator.  A label whose two coefficients are the same objects
+    as the previous shared label's reuses that product: the axis truncation
+    shares one Fraction per level coefficient, so its pairings multiply once
+    per run of such labels.
     """
     a, b = c.exc, d.exc
     if len(b) < len(a):
@@ -217,8 +222,19 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
         else:
             cell[0] -= num
         px, py = x, y
-    common = math.lcm(*by_den)
-    return Fraction(sum(cell[0] * (common // den) for den, cell in by_den.items()), common)
+    total, common = 0, 1  # the sums folded so far: total / common, common their lcm
+    for den, (num,) in by_den.items():
+        if den > common:
+            scale, rest = divmod(den, common)
+            if not rest:
+                total = total * scale + num
+                common = den
+                continue
+        g = math.gcd(common, den)
+        scale = den // g
+        total = total * scale + num * (common // g)
+        common *= scale
+    return Fraction(total, common)
 
 
 def to_json_dict(c: PMClass) -> dict:

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from scipy.optimize import brentq
 
-from wpdcert.action import ActionDomainError, henon_act
+from wpdcert.action import ActionDomainError, AxisClasses, base_points, henon_act, orbit_label
 from wpdcert.fields import PrimeField
 from wpdcert.hyperbolic import HVec, as_vector, mdot
-from wpdcert.lattice import PMClass, PointLabel, exceptional, line_class
+from wpdcert.lattice import FAMILY_P, FAMILY_Q, PMClass, PointLabel, exceptional, line_class
 from wpdcert.polymaps import Poly2, affine_map, compose, henon_inverse, henon_map
 
 
@@ -182,6 +182,38 @@ def reference_axis_series(n, depth):
     return b_plus, b_minus, r, line_class() * 2 - r
 
 
+def reference_axis_classes(n, depth):
+    """The axis truncation label by label: one orbit_label call per base point and level.
+
+    The per-label construction that action.axis_classes builds in bulk; its
+    insertion order and its sharing of coefficient objects are the contract.
+    """
+    axis = AxisClasses(n, depth)
+    b_plus = {}
+    b_minus = {}
+    r = {}
+    w_scaled = {}  # 2*l - r = b_plus + b_minus: the b-coefficient of each label
+    towers = ((base_points(n, FAMILY_Q), 1, b_plus), (base_points(n, FAMILY_P), -1, b_minus))
+    for i in range(depth + 1):
+        # one Fraction per distinct coefficient m/n^(i+1) of the level and one
+        # for its negation, shared by every label that carries it
+        den = n ** (i + 1)
+        pos = {m: Fraction(m, den) for m in {n - 1, 1}}
+        neg = {m: -c for m, c in pos.items()}
+        # every level covers labels no other level touches, so plain stores
+        # keep the insertion order of repeated addition
+        for tower, sign, b in towers:
+            for label, m in tower:
+                image = orbit_label(n, label, sign * i)
+                r[image] = pos[m]
+                b[image] = w_scaled[image] = neg[m]
+    axis.b_plus = PMClass.from_canonical(Fraction(1), b_plus)
+    axis.b_minus = PMClass.from_canonical(Fraction(1), b_minus)
+    axis.r = PMClass.from_canonical(Fraction(0), r)
+    axis.w_scaled = PMClass.from_canonical(Fraction(2), w_scaled)
+    return axis
+
+
 def reference_r_top(r):
     """The five largest coefficients of the explicit class r, largest first, by a scan of its whole support."""
     return tuple(heapq.nlargest(5, r.exc.values()))
@@ -286,13 +318,14 @@ def reference_fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
     and G3_j that of the ends and h^j(w).  The verdict needs
     sinh^2 delta_j <= tail_norm_sq for j = -1, 0, 1, decided in Fraction,
     and sinh^2 delta_j >= 0, which no g of points on the hyperboloid
-    violates; ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq,
-    as a float for display only.
+    violates; a g with g_0 <= 0 or coinciding ends is refused with no ratio.
+    ``deviation_ratio`` is the largest sinh^2 delta_j / tail_norm_sq, as a
+    float for display only.
     """
     ordered = all(g[k] < g[k + 1] for k in range(4))
     det2 = _reference_gram_det(g, (-2, 2))
-    ratios = []  # stays empty when the ends coincide: no geodesic to measure against
-    if det2:
+    ratios = []  # stays empty when g_0 <= 0 or the ends coincide: no point or no geodesic to measure
+    if det2 and g[0] > 0:
         scale = g[0] * det2 * tail_norm_sq
         ratios = [-_reference_gram_det(g, (-2, 2, j)) / scale for j in (-1, 0, 1)]
     return {

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     reference_act_once,
+    reference_axis_classes,
     reference_axis_series,
     reference_fix_monotonicity_check,
     reference_henon_act,
@@ -152,7 +153,7 @@ def test_action_is_isometric_and_invertible(n):
         assert henon_act(n, hc, -1) == c
 
 
-@pytest.mark.parametrize("n,depth", [(2, 3), (2, 20), (3, 20), (5, 8)])
+@pytest.mark.parametrize("n,depth", [(2, 3), (2, 20), (3, 20), (5, 8), (2, 1665)])
 def test_axis_class_exact_pairings(n, depth):
     ax = axis_classes(n, depth)
     tail_exp = Fraction(1, n ** (2 * depth + 2))
@@ -310,6 +311,38 @@ def test_w_scaled_shares_the_endpoint_coefficients(n, depth):
     for label, coeff in ax.w_scaled.exc.items():
         b = ax.b_plus.exc if label.family == "q" else ax.b_minus.exc
         assert coeff is b[label]
+
+
+# n = 2..10 x depth {1, 2, 4, 8, 20, 100, 800} wherever the support bound
+# admits the pair, plus (2, 1665), the largest depth it admits at n = 2
+_BUILD_GRID = [
+    (n, depth)
+    for n in range(2, 11)
+    for depth in (1, 2, 4, 8, 20, 100, 800)
+    if 2 * (2 * n - 1) * (depth + 1) <= action.MAX_AXIS_SUPPORT
+] + [(2, 1665)]
+
+
+def _sharing(*classes):
+    """For each coefficient of the classes in turn, the position of the first one that is the same object."""
+    first = {}
+    values = (x for c in classes for x in c.exc.values())
+    return [first.setdefault(id(x), i) for i, x in enumerate(values)]
+
+
+@pytest.mark.parametrize("n,depth", _BUILD_GRID)
+def test_bulk_axis_truncation_equals_the_per_label_reference(n, depth):
+    ours, ref = axis_classes(n, depth), reference_axis_classes(n, depth)
+    names = ("b_plus", "b_minus", "r", "w_scaled")
+    for name in names:
+        c, d = getattr(ours, name), getattr(ref, name)
+        assert c.ell == d.ell
+        assert list(c.exc.items()) == list(d.exc.items())
+    # two coefficients are one object in one build iff they are in the other,
+    # within a class and across the four: intersect's product reuse fires on
+    # the same runs, and b_plus, b_minus and w_scaled hold the same negations
+    # (test_w_scaled_shares_the_endpoint_coefficients pins those directly)
+    assert _sharing(*(getattr(ours, name) for name in names)) == _sharing(*(getattr(ref, name) for name in names))
 
 
 @pytest.mark.parametrize("n,depth", [(2, 800), (3, 250), (5, 120)])

@@ -313,6 +313,15 @@ def test_monotonicity_refuses_coinciding_ends():
     assert result == {"mode": "exact", "deviation_ratio": None, "ordered": True, "ok": False}
 
 
+@pytest.mark.parametrize("g", [(0, 1, 2, 3, 5), (-3, 1, 2, 3, 5)], ids=["zero", "negative"])
+def test_monotonicity_refuses_a_non_positive_g0(g):
+    # g_0 = B(w, w) > 0 on the hyperboloid; det G2 = g_0^2 - g_4^2 != 0 here,
+    # so the refusal does not rest on coinciding ends (g_0 = 0 used to raise
+    # ZeroDivisionError)
+    result = _checked_monotonicity(tuple(map(Fraction, g)), Fraction(1))
+    assert result == {"mode": "exact", "deviation_ratio": None, "ordered": True, "ok": False}
+
+
 @pytest.mark.parametrize("depth", [20, 250])
 def test_monotonicity_verdict_independent_of_summation_order(depth):
     # the same exact w_scaled with its exc dict reversed: its explicit orbit

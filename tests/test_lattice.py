@@ -212,3 +212,43 @@ def test_intersect_on_shared_coefficient_objects(pair):
     # the same object on both sides of every label
     assert intersect(c, c) == reference_intersect(c, c)
     assert intersect(d, d) == reference_intersect(d, d)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def _non_chain_coefficients(draw):
+    """Fractions whose denominators, in order, are not a divisor chain.
+
+    Decreasing powers of one base, pairwise coprime prime powers, or a chain
+    of powers with other denominators mixed in: the fold in intersect meets
+    denominators that are not multiples of the running one.
+    """
+    kind = draw(st.sampled_from(["decreasing", "coprime", "mixed"]))
+    if kind == "decreasing":
+        base = draw(st.integers(min_value=2, max_value=12))
+        exps = draw(st.lists(st.integers(min_value=0, max_value=300), min_size=2, max_size=12, unique=True))
+        dens = [base**e for e in sorted(exps, reverse=True)]
+    elif kind == "coprime":
+        primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=2, max_size=12, unique=True))
+        dens = [q ** draw(st.integers(min_value=1, max_value=60)) for q in primes]
+    else:
+        base = draw(st.sampled_from([2, 3, 5]))
+        dens = [base ** (3 * j) for j in range(1, draw(st.integers(min_value=2, max_value=8)))]
+        others = draw(st.lists(st.integers(min_value=1, max_value=2**100), min_size=1, max_size=6))
+        for other in others:  # the chain keeps its order, the others land anywhere in it
+            dens.insert(draw(st.integers(min_value=0, max_value=len(dens))), other)
+    nums = st.integers(min_value=-(10**20), max_value=10**20).filter(bool)
+    return [Fraction(draw(nums), den) for den in dens]
+
+
+@given(_non_chain_coefficients(), _wide_fractions, _wide_fractions)
+def test_intersect_on_denominators_that_are_no_divisor_chain(coeffs, ell_c, ell_d):
+    # c carries the drawn fractions and d carries 1 on the same labels, so
+    # their denominators reach intersect in the drawn order, after the l-product's
+    labels = [PointLabel("p", k, 3) for k in range(len(coeffs))]
+    c = PMClass(ell_c, zip(labels, coeffs))
+    d = PMClass(ell_d, {label: 1 for label in labels})
+    assert intersect(c, d) == reference_intersect(c, d)
+    assert intersect(d, c) == reference_intersect(d, c)
