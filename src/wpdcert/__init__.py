@@ -6,6 +6,7 @@ Layers:
   cremona     polynomial maps (fields, polymaps) and their lattice action (action)
   hyperbolic  numeric hyperboloid geometry: geodesics, projections, tubes
   certifier   the verification pipeline, with an exhaustive Fix-set search
+  report      diffable JSON form of reports: 12-digit reals, exact rationals
   cli         machine-readable command-line front end
 
 The package root re-exports nothing, so importing one layer loads only that

@@ -8,19 +8,21 @@ A candidate affine map (a x + b, c y + d), a, c != 0, is kept iff
   * for n = 2 only, both double conjugates h^2 f h^-2, h^-2 f h^2 also have
     degree 1.
 
-`enumerate_fix_candidates` conjugates once, generically, the map
-(A x + B, C y + D) over the coefficient ring F_p[A, B, C, D].  The checks on
-the single conjugates ask that some of their coefficients vanish, so the
-search only evaluates those coefficients at each candidate.  Evaluation at
-(a, b, c, d) is a ring homomorphism, so the survivors are exactly those of
-conjugating each candidate over F_p, as the tests' reference search does.
+Every conjugate is taken by `polymaps.conjugate_by_henon`, the one statement
+of the conjugation in the package.  `enumerate_fix_candidates` conjugates
+once, generically, the map (A x + B, C y + D) over the coefficient ring
+F_p[A, B, C, D].  The checks on the single conjugates ask that some of their
+coefficients vanish, so the search only evaluates those coefficients at each
+candidate.  Evaluation at (a, b, c, d) is a ring homomorphism, so the
+survivors are exactly those of conjugating each candidate over F_p, as the
+tests' reference search does.
 
 For n = 2 the double conjugates are not expanded over the ring: each
 candidate that passes the single checks (1 or 3 maps for every p <= 61, of
-p^2 (p-1)^2 candidates) is conjugated twice more over F_p, with the same
-generic composition as the reference.  A candidate has to pass every check,
-so testing the last one on the survivors of the others keeps the same set.
-No closed form of the conjugates is typed in anywhere.
+p^2 (p-1)^2 candidates) has its single conjugates conjugated once more over
+F_p.  A candidate has to pass every check, so testing the last one on the
+survivors of the others keeps the same set.  No closed form of the
+conjugates is typed in anywhere.
 
 The search returns the sorted list of surviving (a, b, c, d) tuples.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .fields import PrimeField
-from .polymaps import affine_map, compose, henon_inverse, henon_map
+from .polymaps import affine_map, conjugate_by_henon
 
 
 class _CoeffRing:
@@ -90,11 +92,8 @@ def _conditions(n: int, ring: _CoeffRing) -> list:
     `_double_conjugates_affine`; a map is kept only if it passes both, so
     the order of the checks does not change the result.
     """
-    h = henon_map(n, ring)
-    hinv = henon_inverse(n, ring)
     f = affine_map(ring, *ring.gens)
-    fwd = compose(h, compose(f, hinv))
-    bwd = compose(hinv, compose(f, h))
+    fwd, bwd = conjugate_by_henon(f, n, 1), conjugate_by_henon(f, n, -1)
     conds = [fwd.comp_y.coeff(1, 0), bwd.comp_x.coeff(0, 1)]  # moves p_0, moves q_0
     for g in (fwd, bwd):
         for comp in (g.comp_x, g.comp_y):
@@ -103,13 +102,14 @@ def _conditions(n: int, ring: _CoeffRing) -> list:
 
 
 def _double_conjugates_affine(n: int, field: PrimeField, abcd: Tuple[int, int, int, int]) -> bool:
-    """Whether h^2 f h^-2 and h^-2 f h^2 have degree <= 1, composed over F_p."""
-    h = henon_map(n, field)
-    hinv = henon_inverse(n, field)
+    """Whether h^2 f h^-2 and h^-2 f h^2 have degree <= 1, conjugated twice over F_p.
+
+    abcd must pass the single checks: its single conjugates are then of the
+    form (a x + b, c y + d) with a, c != 0, which conjugate_by_henon takes.
+    """
     f = affine_map(field, *abcd)
-    fwd2 = compose(h, compose(compose(h, compose(f, hinv)), hinv))
-    bwd2 = compose(hinv, compose(compose(hinv, compose(f, h)), h))
-    return all(comp.degree() <= 1 for g in (fwd2, bwd2) for comp in (g.comp_x, g.comp_y))
+    doubles = [conjugate_by_henon(conjugate_by_henon(f, n, s), n, s) for s in (1, -1)]
+    return all(comp.degree() <= 1 for g in doubles for comp in (g.comp_x, g.comp_y))
 
 
 def enumerate_fix_candidates(n: int, p: int) -> List[Tuple[int, int, int, int]]:

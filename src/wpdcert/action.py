@@ -101,17 +101,12 @@ def _act_once(n: int, c: PMClass, sign: int) -> PMClass:
     out = {label: -mult * c.ell for label, mult in block} if c.ell else {}
     low_block = {}
     for label, coeff in c.exc.items():
-        family = label.family
         if label.context_n != n:
             raise ActionDomainError(f"class touches label {label} outside the n={n} action")
-        # every label is p or q, n was just checked and the index stays >= 0,
-        # so the shifted label skips PointLabel's validation
-        if family == other_family:
-            out[tuple.__new__(PointLabel, (family, label.index + step, n))] = coeff
-        elif label.index >= step:
-            out[tuple.__new__(PointLabel, (family, label.index - step, n))] = coeff
-        else:
+        if label.family == low_family and label.index < step:
             low_block[label.index] = coeff
+        else:
+            out[orbit_label(n, label, sign)] = coeff
     if low_block:
         # Only the aggregate block (n-1, 1, ..., 1) has a forced image:
         # applying the map to (inverse map)(l) = n*l - block gives

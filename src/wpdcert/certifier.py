@@ -224,9 +224,10 @@ def fix_set_bruteforce(n: int, p: int) -> List[PolyMap]:
     """Exhaustive search over all affine (a x + b, c y + d), a, c != 0, in F_p.
 
     Independent oracle for the Fix set: keeps candidates whose conjugates by
-    the shift map pass the degree-1 and base-point checks (see _bruteforce):
-    the single conjugates derived once by generic conjugation over
-    F_p[a, b, c, d], the n = 2 double conjugates composed on the survivors.
+    the shift map pass the degree-1 and base-point checks (see _bruteforce).
+    Every conjugate is polymaps.conjugate_by_henon: the single ones taken once
+    of the generic map over F_p[a, b, c, d], the n = 2 double ones over F_p
+    on the survivors.
     n past _MAX_BRUTEFORCE_N and p^2 (p-1)^2 past _MAX_BRUTEFORCE_CANDIDATES
     are refused with a ParameterError (the latter by _fix_field).
     """

@@ -29,7 +29,7 @@ from wpdcert.certifier import (
 )
 from wpdcert.fields import PrimeField
 from wpdcert.lattice import PMClass, intersect
-from wpdcert.polymaps import diagonal_affine_parts
+from wpdcert.polymaps import affine_map, compose, degree, diagonal_affine_parts, henon_inverse, henon_map
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,40 +183,48 @@ def test_fix_set_bruteforce_validation():
         fix_set_symbolic(2, 2**61 - 1)  # refused before the primality test
 
 
-@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 7), (5, 7), (17, 5)])
+@pytest.mark.parametrize(
+    "n,p", [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 2), (3, 7), (4, 3), (5, 2), (5, 3), (5, 7), (8, 3), (17, 5)]
+)
 def test_kernel_matches_per_candidate_reference(n, p):
     assert _bruteforce.enumerate_fix_candidates(n, p) == reference_fix_candidates(n, p)
 
 
 @pytest.mark.parametrize("n,p", [(2, 7), (2, 11), (3, 7)])
 def test_double_conjugates_are_composed_on_the_stage_survivors(monkeypatch, n, p):
-    # the ring expands the two single conjugates only (two compositions each);
-    # for n = 2 each stage survivor, and nothing else, is composed over F_p
-    # into its two double conjugates (four compositions each)
+    # the ring takes the two single conjugates only; for n = 2 each stage
+    # survivor, and nothing else, is conjugated over F_p twice in each
+    # direction into its two double conjugates
     fields, checked = [], []
-    real_compose, real_check = _bruteforce.compose, _bruteforce._double_conjugates_affine
+    real_conjugate, real_check = _bruteforce.conjugate_by_henon, _bruteforce._double_conjugates_affine
 
-    def compose(f, g):
+    def conjugate(f, *args):
         fields.append(f.field)
-        return real_compose(f, g)
+        return real_conjugate(f, *args)
 
     def check(*args):
         checked.append(args[-1])
         return real_check(*args)
 
-    monkeypatch.setattr(_bruteforce, "compose", compose)
+    monkeypatch.setattr(_bruteforce, "conjugate_by_henon", conjugate)
     monkeypatch.setattr(_bruteforce, "_double_conjugates_affine", check)
     survivors = _bruteforce.enumerate_fix_candidates(n, p)
-    assert sum(isinstance(f, _bruteforce._CoeffRing) for f in fields) == 4
+    assert sum(isinstance(f, _bruteforce._CoeffRing) for f in fields) == 2
     assert sorted(checked) == (survivors if n == 2 else [])
-    assert fields.count(PrimeField(p)) == 8 * len(checked)
+    assert fields.count(PrimeField(p)) == 4 * len(checked)
 
 
 def test_double_conjugate_check_rejects_a_translation():
     # the survivors' check is not vacuous: both single conjugates of (x + 1, y)
     # have degree 1 (it fails only the q_0 check), but h^-2 f h^2 has degree 4
-    assert _bruteforce._double_conjugates_affine(2, PrimeField(7), (1, 0, 1, 0))
-    assert not _bruteforce._double_conjugates_affine(2, PrimeField(7), (1, 1, 1, 0))
+    field = PrimeField(7)
+    assert _bruteforce._double_conjugates_affine(2, field, (1, 0, 1, 0))
+    h, hinv = henon_map(2, field), henon_inverse(2, field)
+    h2, hinv2 = compose(h, h), compose(hinv, hinv)
+    f = affine_map(field, 1, 1, 1, 0)
+    assert degree(compose(hinv, compose(f, h))) == 1
+    assert degree(compose(h, compose(f, hinv))) == 1
+    assert degree(compose(hinv2, compose(f, h2))) == 4
 
 
 def _monotonicity(axis):

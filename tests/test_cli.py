@@ -304,6 +304,15 @@ def test_oracle_accepts_large_n(capsys):
     assert data["cardinality"] == 4 == len(data["bruteforce"])
 
 
+def test_oracle_searches_characteristic_2_past_n_2(capsys):
+    # over F_2 the candidates are the 4 translations, and only the identity survives
+    code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--prime", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["match"] is True
+    assert data["cardinality"] == 1 == len(data["bruteforce"])
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "axis", "--n", "2", "--depth", "3", "--output", str(target))

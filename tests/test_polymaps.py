@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from wpdcert._bruteforce import _CoeffRing
 from wpdcert.fields import PrimeField, QQ
 from wpdcert.polymaps import (
     Poly2,
@@ -96,6 +97,34 @@ def test_conjugation_matches_binomial_expansion_over_q():
             bwd = conjugate_by_henon(f, n, -1)
             ex, ey = oracles.binomial_backward(QQ, n, a, b, c, d)
             assert (bwd.comp_x, bwd.comp_y) == (ex, ey)
+
+
+class _OracleRing(_CoeffRing):
+    """F_p[A, B, C, D] with the sub and pow that the binomial oracles call."""
+
+    def sub(self, u, v):
+        return self.add(u, self.neg(v))
+
+    def pow(self, u, k):
+        out = self.one
+        for _ in range(k):
+            out = self.mul(out, u)
+        return out
+
+
+def test_search_conjugation_is_the_binomial_expansion_as_a_polynomial_identity():
+    # the Fix-set search conjugates the generic map (A x + B, C y + D) over
+    # F_p[A, B, C, D]; equality there implies it at every point (a, b, c, d)
+    expansions = {1: oracles.binomial_forward, -1: oracles.binomial_backward}
+    for n in range(2, 7):
+        for p in (5, 7, 11):
+            if n % p == 0:
+                continue
+            ring = _OracleRing(p)
+            f = affine_map(ring, *ring.gens)
+            for direction, expansion in expansions.items():
+                g = conjugate_by_henon(f, n, direction)
+                assert (g.comp_x, g.comp_y) == expansion(ring, n, *ring.gens), (n, p, direction)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(11)])
