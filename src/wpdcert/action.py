@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Dict, List, Tuple
 
@@ -260,7 +261,23 @@ class AxisData(namedtuple("AxisData", "n depth")):
 
 
 class AxisClasses(AxisData):
-    """AxisData plus its explicit truncation: the PMClass attributes b_plus, b_minus, r, w_scaled."""
+    """AxisData plus its explicit truncation: the PMClass attributes b_plus, b_minus, w_scaled and r.
+
+    r = 2*l - w_scaled is built on its first read, from the level labels and
+    the negated level coefficients that axis_classes keeps: certify never
+    reads it.
+    """
+
+    @cached_property
+    def r(self) -> PMClass:
+        levels = []
+        for level in self._neg:
+            # one negation per distinct object of the level
+            one = -level[1]
+            top = -level[0] if level[0] is not level[1] else one
+            levels.append((top,) + (one,) * (len(level) - 1))
+        flat = chain.from_iterable
+        return PMClass.from_canonical(Fraction(0), dict(zip(self._labels, flat(flat(zip(levels, levels))))))
 
 
 def axis_classes(n: int, depth: int) -> AxisClasses:
@@ -273,11 +290,11 @@ def axis_classes(n: int, depth: int) -> AxisClasses:
     the images of a tower's base points under the i-th power are the labels
     i(2n-1) .. i(2n-1)+2n-2 of the q-tower (forward) and of the p-tower
     (backward), each with its base point's multiplicity.  So every label is
-    built once, in index order, and the four dicts are filled from them in
-    bulk: r and w_scaled level by level, q-tower then p-tower, the order of
-    repeated addition.  Each level has one Fraction per distinct coefficient
-    m/n^(i+1) and one for its negation: r holds the positive ones, and b_plus,
-    b_minus and w_scaled share the negated ones.
+    built once, in index order, and the three dicts b_plus, b_minus and
+    w_scaled are filled from them in bulk: w_scaled level by level, q-tower
+    then p-tower, the order of repeated addition.  Each level has one
+    Fraction per distinct coefficient -m/n^(i+1), shared by b_plus, b_minus
+    and w_scaled; r, built on first read, holds one negation of each.
     """
     axis = AxisClasses(n, depth)
     step = 2 * n - 1
@@ -287,17 +304,13 @@ def axis_classes(n: int, depth: int) -> AxisClasses:
         list(map(tuple.__new__, repeat(PointLabel, size), zip(repeat(family, size), range(size), repeat(n, size))))
         for family in (FAMILY_Q, FAMILY_P)
     )
-    pos = []  # per level: one tower's coefficients, (n-1, 1, ..., 1)/n^(i+1)
-    neg = []  # and their negations
+    neg = []  # per level: one tower's coefficients, -(n-1, 1, ..., 1)/n^(i+1)
     den = 1
     for _ in range(depth + 1):
         den *= n
-        one = Fraction(1, den)
-        minus_one = -one
-        # at n = 2 the marked point's multiplicity n-1 is 1 too: one object each
-        top = Fraction(n - 1, den) if n > 2 else one
-        minus_top = -top if n > 2 else minus_one
-        pos.append((top,) + (one,) * (step - 1))
+        minus_one = Fraction(-1, den)
+        # at n = 2 the marked point's multiplicity n-1 is 1 too: one object
+        minus_top = Fraction(1 - n, den) if n > 2 else minus_one
         neg.append((minus_top,) + (minus_one,) * (step - 1))
     flat = chain.from_iterable
     # zip(*[iter(x)] * step) cuts x into its levels; level by level, q-tower then p-tower
@@ -305,8 +318,8 @@ def axis_classes(n: int, depth: int) -> AxisClasses:
     tower_neg = list(flat(neg))
     axis.b_plus = PMClass.from_canonical(Fraction(1), dict(zip(q, tower_neg)))
     axis.b_minus = PMClass.from_canonical(Fraction(1), dict(zip(p, tower_neg)))
-    axis.r = PMClass.from_canonical(Fraction(0), dict(zip(labels, flat(flat(zip(pos, pos))))))
     axis.w_scaled = PMClass.from_canonical(Fraction(2), dict(zip(labels, flat(flat(zip(neg, neg))))))
+    axis._labels, axis._neg = labels, neg
     return axis
 
 

@@ -196,32 +196,49 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
     every denominator.  A label whose two coefficients are the same objects
     as the previous shared label's reuses that product: the axis truncation
     shares one Fraction per level coefficient, so its pairings multiply once
-    per run of such labels.
+    per run of such labels.  A self-pairing (c is d) walks the coefficients
+    alone, with no label lookup, and squares once per run of one object.
     """
-    a, b = c.exc, d.exc
-    if len(b) < len(a):
-        a, b = b, a
     xn, xd = c.ell.as_integer_ratio()
     yn, yd = d.ell.as_integer_ratio()
-    by_den = {xd * yd: [xn * yn]}  # denominator -> [sum of its numerators], one lookup per label
-    px = py = None
-    for label, x in a.items():
-        y = b.get(label)
-        if y is None:
-            continue
-        if x is px and y is py:
-            cell[0] -= num
-            continue
-        xn, xd = x.as_integer_ratio()
-        yn, yd = y.as_integer_ratio()
-        num = xn * yn
-        den = xd * yd
-        cell = by_den.get(den)
-        if cell is None:
-            cell = by_den[den] = [-num]
-        else:
-            cell[0] -= num
-        px, py = x, y
+    by_den = {xd * yd: [xn * yn]}  # denominator -> [sum of its numerators], one lookup per product
+    if c is d:
+        px = None
+        for x in c.exc.values():
+            if x is px:
+                cell[0] -= num
+                continue
+            xn, xd = x.as_integer_ratio()
+            num = xn * xn
+            den = xd * xd
+            cell = by_den.get(den)
+            if cell is None:
+                cell = by_den[den] = [-num]
+            else:
+                cell[0] -= num
+            px = x
+    else:
+        a, b = c.exc, d.exc
+        if len(b) < len(a):
+            a, b = b, a
+        px = py = None
+        for label, x in a.items():
+            y = b.get(label)
+            if y is None:
+                continue
+            if x is px and y is py:
+                cell[0] -= num
+                continue
+            xn, xd = x.as_integer_ratio()
+            yn, yd = y.as_integer_ratio()
+            num = xn * yn
+            den = xd * yd
+            cell = by_den.get(den)
+            if cell is None:
+                cell = by_den[den] = [-num]
+            else:
+                cell[0] -= num
+            px, py = x, y
     total, common = 0, 1  # the sums folded so far: total / common, common their lcm
     for den, (num,) in by_den.items():
         if den > common:

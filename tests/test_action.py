@@ -27,7 +27,7 @@ from wpdcert.action import (
     henon_act,
     orbit_label,
 )
-from wpdcert.certifier import fix_monotonicity_check
+from wpdcert.certifier import certify, fix_monotonicity_check
 from wpdcert.lattice import PMClass, PointLabel, exceptional, intersect, line_class, p_label, q_label
 from wpdcert.polymaps import degree, henon_map
 
@@ -343,6 +343,28 @@ def test_bulk_axis_truncation_equals_the_per_label_reference(n, depth):
     # the same runs, and b_plus, b_minus and w_scaled hold the same negations
     # (test_w_scaled_shares_the_endpoint_coefficients pins those directly)
     assert _sharing(*(getattr(ours, name) for name in names)) == _sharing(*(getattr(ref, name) for name in names))
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (5, 8), (2, 800)])
+def test_certify_leaves_r_unbuilt(monkeypatch, n, depth):
+    # certify pairs b_plus, b_minus and w_scaled only; r is built on its first read
+    built = []
+    real = action.axis_classes
+
+    def kept(n, depth):
+        built.append(real(n, depth))
+        return built[-1]
+
+    monkeypatch.setattr(action, "axis_classes", kept)
+    assert certify(n, depth).passed
+    [axis] = built
+    assert "r" not in vars(axis)
+    ref = reference_axis_classes(n, depth)
+    assert axis.r.ell == ref.r.ell
+    assert list(axis.r.exc.items()) == list(ref.r.exc.items())
+    assert vars(axis)["r"] is axis.r
+    # one object per distinct coefficient of a level in r, none of them w_scaled's
+    assert _sharing(axis.w_scaled, axis.r) == _sharing(ref.w_scaled, ref.r)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 800), (3, 250), (5, 120)])

@@ -252,3 +252,40 @@ def test_intersect_on_denominators_that_are_no_divisor_chain(coeffs, ell_c, ell_
     d = PMClass(ell_d, {label: 1 for label in labels})
     assert intersect(c, d) == reference_intersect(c, d)
     assert intersect(d, c) == reference_intersect(d, c)
+
+
+@st.composite
+def _self_pairing_classes(draw):
+    """A class to pair with itself, its coefficient objects shared in runs, interleaved or not at all.
+
+    The coefficients are wide fractions or fractions whose denominators are
+    no divisor chain; ell may be 0.  A cancelling draw adds labels whose
+    squares sum to ell^2 (four of ell/2, or 3ell/5 and 4ell/5), so that the
+    l-product cancels them exactly.
+    """
+    pool = draw(st.one_of(st.lists(_wide_fractions.filter(bool), min_size=1, max_size=6), _non_chain_coefficients()))
+    ell = draw(st.one_of(st.just(Fraction(0)), _wide_fractions))
+    sharing = draw(st.sampled_from(["runs", "interleaved", "unshared"]))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=24))
+    if sharing == "runs":
+        picks.sort()
+    coeffs = [pool[i] for i in picks]
+    if draw(st.booleans()):
+        ell = draw(_wide_fractions.filter(bool))
+        parts = [ell / 2] * 4 if draw(st.booleans()) else [ell * Fraction(3, 5), ell * Fraction(4, 5)]
+        at = draw(st.integers(min_value=0, max_value=len(coeffs)))
+        coeffs[at:at] = parts
+    if sharing == "unshared":
+        coeffs = [Fraction(x.numerator, x.denominator) for x in coeffs]
+    labels = [PointLabel("q", k, 3) for k in range(len(coeffs))]
+    return PMClass.from_canonical(ell, dict(zip(labels, coeffs)))
+
+
+@given(_self_pairing_classes())
+def test_self_pairing_equals_the_general_path_and_the_plain_sum(c):
+    # the twin holds the same coefficient objects, but is another class, so
+    # intersect pairs it by label lookups
+    twin = PMClass.from_canonical(c.ell, dict(c.exc))
+    value = intersect(c, c)
+    assert type(value) is Fraction
+    assert value == intersect(c, twin) == intersect(twin, c) == reference_intersect(c, c)
