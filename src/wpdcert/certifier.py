@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
 
-#: slack for verdicts that sit exactly on the window boundary (chosen_eps = eps_max
-#: makes the first window inequality an equality in exact arithmetic)
+#: slack for verdicts that sit exactly on the window boundary (at eps_max the first
+#: window inequality and the degree-2 exclusion are equalities in exact arithmetic)
 BOUNDARY_TOL = 1e-12
 
 _MAX_BRUTEFORCE_CANDIDATES = 500_000_000
@@ -49,7 +49,7 @@ class ParameterError(ValueError):
 
 
 def kernel_name() -> str:
-    """Name of the Fix-set search kernel, as recorded in reports."""
+    """Name of the Fix-set search kernel; perfbench/run.py records it, reports do not."""
     return "pure"
 
 
@@ -57,59 +57,44 @@ def kernel_name() -> str:
 # tolerance window and degree bound
 
 
-class StarWindow(namedtuple("StarWindow", "n eps_max chosen_eps")):
-    """Admissible tolerance window for a given n.
+def epsilon_window(n: int) -> dict:
+    """The star_window report section for n: eps_max and its three window checks.
 
-    eps_max = argcosh(sqrt(2) + 1/(n sqrt(2))) - argcosh(sqrt(2)); any
-    chosen_eps in (0, eps_max] keeps the three window inequalities valid
-    (the first one with equality at the right endpoint).  Fields: n (int),
-    eps_max and chosen_eps (float).
+    eps_max = argcosh(sqrt(2) + 1/(n sqrt(2))) - argcosh(sqrt(2)) is the widest
+    tolerance; the first check holds there with equality.  The window checks,
+    the degree bound and both degree exclusions only get easier as eps shrinks,
+    so deciding them at eps_max decides them for every eps in (0, eps_max].
     """
-
-    __slots__ = ()
-
-    def checks(self) -> dict:
-        deg2_threshold = math.acosh(SQRT2 + 1.0 / (self.n * SQRT2))
-        lhs1 = ACOSH_SQRT2 + self.chosen_eps
-        rhs2 = math.acosh(3.0 / SQRT2)
-        lhs3 = 2.0 * ACOSH_SQRT2 + self.chosen_eps
-        rhs3 = math.acosh(4.0)
-        return {
-            "proj_plus_eps_le_deg2_threshold": {
-                "lhs": lhs1,
-                "rhs": deg2_threshold,
-                "ok": lhs1 <= deg2_threshold + BOUNDARY_TOL,
-            },
-            "deg2_threshold_lt_deg3_bound": {
-                "lhs": deg2_threshold,
-                "rhs": rhs2,
-                "ok": deg2_threshold < rhs2,
-            },
-            "double_proj_plus_eps_lt_acosh4": {
-                "lhs": lhs3,
-                "rhs": rhs3,
-                "ok": lhs3 < rhs3,
-            },
-        }
-
-    def all_ok(self) -> bool:
-        return all(c["ok"] for c in self.checks().values())
-
-
-def epsilon_window(n: int, eps: Optional[float] = None) -> StarWindow:
-    """Window for n, with chosen_eps = eps_max (maximal choice) by default."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    eps_max = math.acosh(SQRT2 + 1.0 / (n * SQRT2)) - ACOSH_SQRT2
-    chosen = eps_max if eps is None else float(eps)
-    if not 0.0 < chosen <= eps_max + BOUNDARY_TOL:
-        raise ParameterError(f"eps must lie in (0, {eps_max:.12g}] for n={n}")
-    return StarWindow(n, eps_max, chosen)
+    deg2_threshold = math.acosh(SQRT2 + 1.0 / (n * SQRT2))
+    eps_max = deg2_threshold - ACOSH_SQRT2
+    lhs1 = ACOSH_SQRT2 + eps_max
+    rhs2 = math.acosh(3.0 / SQRT2)
+    lhs3 = 2.0 * ACOSH_SQRT2 + eps_max
+    rhs3 = math.acosh(4.0)
+    checks = {
+        "proj_plus_eps_le_deg2_threshold": {
+            "lhs": lhs1,
+            "rhs": deg2_threshold,
+            "ok": lhs1 <= deg2_threshold + BOUNDARY_TOL,
+        },
+        "deg2_threshold_lt_deg3_bound": {
+            "lhs": deg2_threshold,
+            "rhs": rhs2,
+            "ok": deg2_threshold < rhs2,
+        },
+        "double_proj_plus_eps_lt_acosh4": {
+            "lhs": lhs3,
+            "rhs": rhs3,
+            "ok": lhs3 < rhs3,
+        },
+    }
+    return {"eps_max": eps_max, "checks": checks, "ok": all(c["ok"] for c in checks.values())}
 
 
-def degree_bound(n: int, eps: float) -> float:
+def degree_bound(eps: float) -> float:
     """cosh(2 argcosh sqrt(2) + eps); must stay below 4 inside the window."""
-    epsilon_window(n, eps)  # validates eps against the window
     return math.cosh(2.0 * ACOSH_SQRT2 + eps)
 
 
@@ -349,12 +334,7 @@ class CertReport(namedtuple("CertReport", "n depth prime sections verdicts fix_s
         )
 
 
-def certify(
-    n: int,
-    depth: int = 20,
-    p: Optional[int] = None,
-    eps: Optional[float] = None,
-) -> CertReport:
+def certify(n: int, depth: int = 20, p: Optional[int] = None) -> CertReport:
     """Run the whole pipeline; the report passes iff every verdict holds."""
     from .action import axis_classes, axis_pairings
 
@@ -374,15 +354,9 @@ def certify(
     # the axis refuses an n past its support bound before the float window
     # would overflow on it
     axis = axis_classes(n, depth)
-    star = epsilon_window(n, eps)
-    checks = star.checks()
-    star_window = {
-        "eps_max": star.eps_max,
-        "chosen_eps": star.chosen_eps,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks.values()),
-    }
-    dbound = degree_bound(n, star.chosen_eps)
+    star_window = epsilon_window(n)
+    eps_max = star_window["eps_max"]
+    dbound = degree_bound(eps_max)
     degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
 
     tail_exp = axis.tail_norm_sq / 2  # n^(-2 depth - 2): b+.b+, and w.w - 1
@@ -401,8 +375,8 @@ def certify(
         },
     }
 
-    deg2 = exclusion_data(n, 2, star.chosen_eps, axis)
-    deg3 = exclusion_data(n, 3, star.chosen_eps, axis)
+    deg2 = exclusion_data(n, 2, eps_max, axis)
+    deg3 = exclusion_data(n, 3, eps_max, axis)
     wci_ok = deg3["worst_case"] == -3 and deg2["worst_case"] == Fraction(-2) + Fraction(1, n)
 
     # distance from l to the normalized truncated projection point
@@ -424,8 +398,8 @@ def certify(
     translation = {
         "cosh_value": cosh_ratio,
         "expected": expected_cosh,
-        "tolerance": SQRT2 * float(Fraction(1, n ** (depth + 1))),
         # |cosh_value - expected| <= sqrt(2) n^-(depth+1), squared so that it is decided over Q
+        "tolerance_sq": axis.tail_norm_sq,
         "ok": (cosh_ratio - expected_cosh) ** 2 <= axis.tail_norm_sq,
     }
 
@@ -440,7 +414,6 @@ def certify(
         "symbolic": fix_sym,
         "bruteforce": fix_bf,
         "oracle_count": None if p is None else oracle_count(p),
-        "kernel": None if p is None else kernel_name(),
         "oracle_match_ok": fix_bf is None or fix_bf == fix_sym,
     }
 

@@ -163,7 +163,7 @@ def _fix_rows(symbolic, bruteforce):
 def _cmd_certify(args) -> int:
     from . import certifier
 
-    rep = certifier.certify(args.n, depth=args.depth, p=args.prime, eps=args.eps)
+    rep = certifier.certify(args.n, depth=args.depth, p=args.prime)
     payload = rep.to_json_dict()
     fix_set = payload["fix_set"]
     return _emit(payload, args, lambda: _fix_rows(fix_set["symbolic"], fix_set["bruteforce"]), rep.passed)
@@ -303,7 +303,6 @@ def _cmd_oracle(args) -> int:
         {
             "n": args.n,
             "prime": args.prime,
-            "kernel": certifier.kernel_name(),
             "oracle_count": certifier.oracle_count(args.prime),
             "cardinality": len(brute),
             "symbolic": symbolic,
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--prime", type=int, default=None, help="prime p = 1 (mod n^2-1), p not dividing n; omit for symbolic mode")
-    p.add_argument("--eps", type=float, default=None, help="override the maximal window tolerance")
     p.set_defaults(func=_cmd_certify)
 
     p = common(sub.add_parser("axis", help="truncated axis classes and their exact pairings"))

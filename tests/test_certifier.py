@@ -36,28 +36,40 @@ SQRT2 = math.sqrt(2.0)
 
 def test_epsilon_window_basics():
     win = epsilon_window(2)
-    assert win.chosen_eps == win.eps_max
-    assert abs(win.eps_max - 0.2897159173846393) < 1e-12
-    assert win.all_ok()
+    assert abs(win["eps_max"] - 0.2897159173846393) < 1e-12
+    assert win["ok"] and all(c["ok"] for c in win["checks"].values())
     with pytest.raises(ParameterError):
         epsilon_window(1)
-    with pytest.raises(ParameterError):
-        epsilon_window(2, eps=0.5)
-    with pytest.raises(ParameterError):
-        epsilon_window(2, eps=0.0)
-    narrower = epsilon_window(2, eps=0.05)
-    assert narrower.all_ok()
 
 
 def test_window_shrinks_and_holds_up_to_100():
     last = None
     for n in range(2, 101):
         win = epsilon_window(n)
-        assert win.eps_max > 0
-        assert win.all_ok()
+        assert win["eps_max"] > 0
+        assert win["ok"]
         if last is not None:
-            assert win.eps_max < last
-        last = win.eps_max
+            assert win["eps_max"] < last
+        last = win["eps_max"]
+
+
+def test_eps_max_decides_every_eps_in_the_window():
+    # the window checks, the degree bound and both exclusions only get easier
+    # as eps shrinks, so certify decides them at eps_max alone; just past
+    # eps_max the degree-2 exclusion fails, so no wider tolerance is admissible
+    rhs2, rhs3 = math.acosh(3.0 / SQRT2), math.acosh(4.0)
+    for n in range(2, 101):
+        axis = axis_classes(n, 2)
+        eps_max = epsilon_window(n)["eps_max"]
+        threshold = math.acosh(SQRT2 + 1.0 / (n * SQRT2))
+        assert threshold < rhs2
+        for eps in [eps_max * k / 10 for k in range(1, 10)] + [eps_max, 1e-9 * eps_max]:
+            assert math.acosh(SQRT2) + eps <= threshold + certifier.BOUNDARY_TOL
+            assert 2.0 * math.acosh(SQRT2) + eps < rhs3
+            assert degree_bound(eps) < 4.0
+            assert exclusion_data(n, 2, eps, axis)["ok"]
+            assert exclusion_data(n, 3, eps, axis)["ok"]
+        assert not exclusion_data(n, 2, eps_max + 1e-3, axis)["ok"]
 
 
 def test_three_decimal_sanity_constants():
@@ -70,13 +82,11 @@ def test_three_decimal_sanity_constants():
 
 def test_degree_bound():
     # eps -> 0 limit is cosh(2 argcosh sqrt(2)) = 2*2 - 1 = 3
-    assert abs(degree_bound(2, 1e-12) - 3.0) < 1e-9
-    value = degree_bound(2, epsilon_window(2).eps_max)
+    assert abs(degree_bound(1e-12) - 3.0) < 1e-9
+    value = degree_bound(epsilon_window(2)["eps_max"])
     assert 3.0 < value < 4.0
     for n in range(2, 101):
-        assert degree_bound(n, epsilon_window(n).eps_max) < 4.0
-    with pytest.raises(ParameterError):
-        degree_bound(2, 0.5)  # outside the window
+        assert degree_bound(epsilon_window(n)["eps_max"]) < 4.0
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -117,7 +127,7 @@ def test_worst_case_matches_exhaustive_assignment():
 def test_exclusion_checks():
     for n in (2, 3, 7):
         axis = axis_classes(n, 3)
-        eps = epsilon_window(n).eps_max
+        eps = epsilon_window(n)["eps_max"]
         data3 = exclusion_data(n, 3, eps, axis)
         assert abs(data3["bound"] - 3.0 / SQRT2) < 1e-12
         assert data3["ok"]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,31 @@ def test_certify_char_divides_n_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "characteristic divides n" in json.loads(err)["error"]
+
+
+def test_certify_has_no_eps_option(capsys):
+    # the window is decided at eps_max alone, which decides every smaller eps
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--n", "2", "--depth", "8", "--eps", "0.2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "wpdcert: error: unrecognized arguments: --eps 0.2"
+    ]
+
+
+def test_translation_tolerance_is_exact_past_float_underflow(capsys):
+    # sqrt(2) 2^-(depth+1) underflows to 0.0 from depth 1074; the report prints
+    # its exact square, the bound that the verdict is decided against
+    code, out, err = run_cli(capsys, "certify", "--n", "2", "--depth", "1665")
+    assert code == 0 and err == ""
+    translation = json.loads(out)["translation"]
+    tolerance_sq = Fraction(translation["tolerance_sq"])
+    assert tolerance_sq == Fraction(2, 2 ** (2 * 1666)) != 0
+    gap = Fraction(translation["cosh_value"]) - Fraction(translation["expected"])
+    assert gap != 0
+    assert translation["ok"] is (gap**2 <= tolerance_sq) is True
 
 
 @pytest.mark.parametrize(
@@ -467,7 +493,7 @@ _PRIME = st.one_of(
     st.sampled_from([5, 7, 13, 17, 19, 31, 37, 41]), st.integers(-7, 40), _HUGE, st.sampled_from([1000000009, 2**61 - 1])
 )
 _COMMANDS = {
-    "certify": {"n": _N, "depth": _DEPTH, "prime": _PRIME, "eps": st.one_of(st.floats(0.0, 0.3).map(repr), _FLOAT)},
+    "certify": {"n": _N, "depth": _DEPTH, "prime": _PRIME},
     "axis": {"n": _N, "depth": _DEPTH},
     "orbit": {
         "n": _N,
