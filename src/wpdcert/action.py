@@ -232,7 +232,8 @@ class AxisData(namedtuple("AxisData", "n depth")):
         Level 0 is each tower (n-1, 1, ..., 1) weighted 1/n; level j >= 1 carries
         at most (n-1)/n^2 < 1/n, the smallest level-0 coefficient.
         """
-        return tuple(sorted((Fraction(m, self.n) for _, m in base_points(self.n) * 2), reverse=True)[:5])
+        top = sorted((m for _, m in base_points(self.n) * 2), reverse=True)[:5]  # ints: no Fraction comparisons
+        return tuple(Fraction(m, self.n) for m in top)
 
     def w_runs(self, reach: int) -> Dict[int, RunPoint]:
         """h^k(w_scaled) in run form for k = -reach..reach, walked outward one step at a time.

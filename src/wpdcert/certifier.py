@@ -1,13 +1,14 @@
 """Mechanical re-verification of the discrete-action certificate.
 
-For each n >= 2 this pipeline re-derives, with exact arithmetic where the
-quantities are rational and stated tolerances elsewhere:
+For each n >= 2 this pipeline re-derives, and decides every verdict over Q
+(the floats in its report are display values only):
 
   * the admissible tolerance window for the axis of the shift map,
   * the degree bound cosh(2 argcosh sqrt(2) + eps) < 4,
   * the exact worst-case pairings of hypothetical degree-2/3 base-point
     classes against the truncated axis series (-3 and -2 + 1/n),
   * the resulting exclusion of degrees 2 and 3,
+  * the distance argcosh sqrt(2) from l to the normalized axis point,
   * the Fix set of diagonal maps (a x, a^n y), a^(n^2-1) = 1, both in closed
     form and by exhaustive search over a prime field,
   * the geometric inclusion hypothesis behind Fix-set monotonicity.
@@ -29,10 +30,6 @@ if TYPE_CHECKING:  # the other layers load where they are used, so oracle skips 
 
 SQRT2 = math.sqrt(2.0)
 ACOSH_SQRT2 = math.acosh(SQRT2)
-
-#: slack for verdicts that sit exactly on the window boundary (at eps_max the first
-#: window inequality and the degree-2 exclusion are equalities in exact arithmetic)
-BOUNDARY_TOL = 1e-12
 
 _MAX_BRUTEFORCE_CANDIDATES = 500_000_000
 
@@ -57,45 +54,49 @@ def kernel_name() -> str:
 # tolerance window and degree bound
 
 
-def epsilon_window(n: int) -> dict:
-    """The star_window report section for n: eps_max and its three window checks.
+def _window_t(n: int) -> Fraction:
+    """t = 1 + 1/(2n), so that cosh(argcosh sqrt(2) + eps_max) = sqrt(2) t.
 
-    eps_max = argcosh(sqrt(2) + 1/(n sqrt(2))) - argcosh(sqrt(2)) is the widest
-    tolerance; the first check holds there with equality.  The window checks,
-    the degree bound and both degree exclusions only get easier as eps shrinks,
+    With cosh argcosh sqrt(2) = sqrt(2) and sinh argcosh sqrt(2) = 1, every
+    inequality that certify decides at eps_max is then rational in t.
+    """
+    return Fraction(2 * n + 1, 2 * n)
+
+
+def epsilon_window(n: int) -> dict:
+    """The star_window report section for n: eps_max and its window check.
+
+    eps_max = argcosh(sqrt(2) t) - argcosh(sqrt(2)) is the widest tolerance;
+    the degree-2 exclusion holds there with equality.  The window check, the
+    degree bound and both degree exclusions only get easier as eps shrinks,
     so deciding them at eps_max decides them for every eps in (0, eps_max].
+    The check argcosh(sqrt(2) t) < argcosh(3/sqrt(2)) is t < 3/2.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
     deg2_threshold = math.acosh(SQRT2 + 1.0 / (n * SQRT2))
-    eps_max = deg2_threshold - ACOSH_SQRT2
-    lhs1 = ACOSH_SQRT2 + eps_max
-    rhs2 = math.acosh(3.0 / SQRT2)
-    lhs3 = 2.0 * ACOSH_SQRT2 + eps_max
-    rhs3 = math.acosh(4.0)
-    checks = {
-        "proj_plus_eps_le_deg2_threshold": {
-            "lhs": lhs1,
-            "rhs": deg2_threshold,
-            "ok": lhs1 <= deg2_threshold + BOUNDARY_TOL,
-        },
-        "deg2_threshold_lt_deg3_bound": {
-            "lhs": deg2_threshold,
-            "rhs": rhs2,
-            "ok": deg2_threshold < rhs2,
-        },
-        "double_proj_plus_eps_lt_acosh4": {
-            "lhs": lhs3,
-            "rhs": rhs3,
-            "ok": lhs3 < rhs3,
-        },
+    check = {"lhs": deg2_threshold, "rhs": math.acosh(3.0 / SQRT2), "ok": _window_t(n) < Fraction(3, 2)}
+    return {
+        "eps_max": deg2_threshold - ACOSH_SQRT2,
+        "checks": {"deg2_threshold_lt_deg3_bound": check},
+        "ok": check["ok"],
     }
-    return {"eps_max": eps_max, "checks": checks, "ok": all(c["ok"] for c in checks.values())}
 
 
 def degree_bound(eps: float) -> float:
-    """cosh(2 argcosh sqrt(2) + eps); must stay below 4 inside the window."""
+    """cosh(2 argcosh sqrt(2) + eps), a display value; degree_check decides it."""
     return math.cosh(2.0 * ACOSH_SQRT2 + eps)
+
+
+def degree_check(n: int, eps_max: float) -> dict:
+    """The degree_bound report section: cosh(2 argcosh sqrt(2) + eps_max) < 4.
+
+    The value is cosh(argcosh sqrt(2) + argcosh(sqrt(2) t)) = 2t + sqrt(2t^2 - 1),
+    so with 2t < 4 the bound is 2t^2 - 1 < (4 - 2t)^2.
+    """
+    t = _window_t(n)
+    ok = 2 * t < 4 and 2 * t * t - 1 < (4 - 2 * t) ** 2
+    return {"value": degree_bound(eps_max), "limit": "4", "ok": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +123,21 @@ def worst_case_intersection(n: int, deg: int, axis: AxisData) -> Fraction:
     return -sum((m * c for m, c in zip(_MULTIPLICITIES[deg], axis.r_top)), Fraction(0))
 
 
-def exclusion_data(n: int, deg: int, eps: float, axis: AxisData) -> dict:
+def exclusion_data(n: int, deg: int, axis: AxisData) -> dict:
     """Lower bound for the pairing of a degree-deg image of l with the axis point.
 
-    bound = deg*sqrt(2) + worst_case/sqrt(2) must reach cosh(argcosh sqrt(2) + eps)
-    for the degree to be excluded; equality holds for deg=2 at eps = eps_max.
+    bound = deg*sqrt(2) + worst_case/sqrt(2) must reach the threshold
+    cosh(argcosh sqrt(2) + eps_max) = sqrt(2) t for the degree to be excluded,
+    that is deg + worst_case/2 >= t; equality holds for deg = 2.  bound and
+    threshold are display values.
     """
     wci = worst_case_intersection(n, deg, axis)
-    bound = deg * SQRT2 + float(wci) / SQRT2
-    threshold = math.cosh(ACOSH_SQRT2 + eps)
+    t = _window_t(n)
     return {
         "worst_case": wci,
-        "bound": bound,
-        "threshold": threshold,
-        "ok": bound >= threshold - BOUNDARY_TOL,
+        "bound": deg * SQRT2 + float(wci) / SQRT2,
+        "threshold": SQRT2 * float(t),
+        "ok": deg + wci / 2 >= t,
     }
 
 
@@ -355,9 +357,7 @@ def certify(n: int, depth: int = 20, p: Optional[int] = None) -> CertReport:
     # would overflow on it
     axis = axis_classes(n, depth)
     star_window = epsilon_window(n)
-    eps_max = star_window["eps_max"]
-    dbound = degree_bound(eps_max)
-    degree = {"value": dbound, "limit": "4", "ok": dbound < 4.0}
+    degree = degree_check(n, star_window["eps_max"])
 
     tail_exp = axis.tail_norm_sq / 2  # n^(-2 depth - 2): b+.b+, and w.w - 1
     pairs = axis_pairings(axis)
@@ -375,19 +375,20 @@ def certify(n: int, depth: int = 20, p: Optional[int] = None) -> CertReport:
         },
     }
 
-    deg2 = exclusion_data(n, 2, eps_max, axis)
-    deg3 = exclusion_data(n, 3, eps_max, axis)
+    deg2 = exclusion_data(n, 2, axis)
+    deg3 = exclusion_data(n, 3, axis)
     wci_ok = deg3["worst_case"] == -3 and deg2["worst_case"] == Fraction(-2) + Fraction(1, n)
 
-    # distance from l to the normalized truncated projection point
+    # distance d from l to the normalized truncated projection point: cosh^2 d
+    # = 2/w.w, which must be cosh^2 argcosh sqrt(2) = 2 up to the tail
     proj_cosh = SQRT2 / math.sqrt(float(pairs["w_norm_sq"]))
-    proj_dist = math.acosh(proj_cosh) if proj_cosh >= 1.0 else float("nan")
-    proj_tol = 1e-9 + SQRT2 * float(tail_exp)
+    cosh_sq = 2 / pairs["w_norm_sq"]
     projection = {
-        "distance": proj_dist,
+        "distance": math.acosh(proj_cosh) if proj_cosh >= 1.0 else float("nan"),
         "expected": ACOSH_SQRT2,
-        "tolerance": proj_tol,
-        "ok": abs(proj_dist - ACOSH_SQRT2) <= proj_tol,
+        "cosh_sq": cosh_sq,
+        "tolerance": axis.tail_norm_sq,
+        "ok": abs(cosh_sq - 2) <= axis.tail_norm_sq,
     }
 
     # translation length: cosh of the displacement of the normalized axis point,

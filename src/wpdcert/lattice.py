@@ -193,11 +193,9 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
     the running one, as each level's of an axis truncation is of the levels
     before it, scales the running sum by their small quotient; any other
     joins through their gcd.  So no step divides one common denominator by
-    every denominator.  A label whose two coefficients are the same objects
-    as the previous shared label's reuses that product: the axis truncation
-    shares one Fraction per level coefficient, so its pairings multiply once
-    per run of such labels.  A self-pairing (c is d) walks the coefficients
-    alone, with no label lookup, and squares once per run of one object.
+    every denominator.  A self-pairing (c is d) walks the coefficients alone,
+    with no label lookup, and squares once per run of one coefficient object:
+    the axis truncation shares one Fraction per level coefficient.
     """
     xn, xd = c.ell.as_integer_ratio()
     yn, yd = d.ell.as_integer_ratio()
@@ -221,13 +219,9 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
         a, b = c.exc, d.exc
         if len(b) < len(a):
             a, b = b, a
-        px = py = None
         for label, x in a.items():
             y = b.get(label)
             if y is None:
-                continue
-            if x is px and y is py:
-                cell[0] -= num
                 continue
             xn, xd = x.as_integer_ratio()
             yn, yd = y.as_integer_ratio()
@@ -238,7 +232,6 @@ def intersect(c: PMClass, d: PMClass) -> Fraction:
                 cell = by_den[den] = [-num]
             else:
                 cell[0] -= num
-            px, py = x, y
     total, common = 0, 1  # the sums folded so far: total / common, common their lcm
     for den, (num,) in by_den.items():
         if den > common:

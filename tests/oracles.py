@@ -334,3 +334,41 @@ def reference_fix_monotonicity_check(g: tuple, tail_norm_sq: Fraction) -> dict:
         "ordered": ordered,
         "ok": ordered and bool(ratios) and 0 <= min(ratios) and max(ratios) <= 1,
     }
+
+
+SQRT2 = math.sqrt(2.0)
+ACOSH_SQRT2 = math.acosh(SQRT2)
+
+#: the float decisions' slack at the window boundary, where the first window
+#: check and the degree-2 exclusion are equalities at eps_max
+BOUNDARY_TOL = 1e-12
+
+
+def reference_float_window(n, eps=None):
+    """The window and degree-bound decisions in floats, at eps (default eps_max).
+
+    The reference for certifier's rational decisions in t = 1 + 1/(2n):
+    eps_max = argcosh(sqrt(2) + 1/(n sqrt(2))) - argcosh(sqrt(2)), three
+    window checks (the first one an equality at eps_max, allowed
+    BOUNDARY_TOL) and cosh(2 argcosh sqrt(2) + eps) < 4.
+    """
+    deg2_threshold = math.acosh(SQRT2 + 1.0 / (n * SQRT2))
+    eps_max = deg2_threshold - ACOSH_SQRT2
+    eps = eps_max if eps is None else eps
+    return {
+        "eps_max": eps_max,
+        "proj_plus_eps_le_deg2_threshold": ACOSH_SQRT2 + eps <= deg2_threshold + BOUNDARY_TOL,
+        "deg2_threshold_lt_deg3_bound": deg2_threshold < math.acosh(3.0 / SQRT2),
+        "double_proj_plus_eps_lt_acosh4": 2.0 * ACOSH_SQRT2 + eps < math.acosh(4.0),
+        "degree_bound": math.cosh(2.0 * ACOSH_SQRT2 + eps) < 4.0,
+    }
+
+
+def reference_float_exclusion(deg, worst_case, eps):
+    """The degree exclusion in floats: deg sqrt(2) + worst_case/sqrt(2) >= cosh(argcosh sqrt(2) + eps).
+
+    Equality holds for deg = 2 at eps_max, which BOUNDARY_TOL allows.
+    """
+    bound = deg * SQRT2 + float(worst_case) / SQRT2
+    threshold = math.cosh(ACOSH_SQRT2 + eps)
+    return {"bound": bound, "threshold": threshold, "ok": bound >= threshold - BOUNDARY_TOL}

@@ -339,7 +339,7 @@ def test_bulk_axis_truncation_equals_the_per_label_reference(n, depth):
         assert c.ell == d.ell
         assert list(c.exc.items()) == list(d.exc.items())
     # two coefficients are one object in one build iff they are in the other,
-    # within a class and across the four: intersect's product reuse fires on
+    # within a class and across the four: a self-pairing's square reuse fires on
     # the same runs, and b_plus, b_minus and w_scaled hold the same negations
     # (test_w_scaled_shares_the_endpoint_coefficients pins those directly)
     assert _sharing(*(getattr(ours, name) for name in names)) == _sharing(*(getattr(ref, name) for name in names))

@@ -8,18 +8,22 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    BOUNDARY_TOL,
     reference_fix_candidates,
     reference_fix_monotonicity_check,
+    reference_float_exclusion,
+    reference_float_window,
     reference_monotonicity_float,
     reference_w_orbit,
 )
 from wpdcert import _bruteforce, action, certifier, lattice
-from wpdcert.action import axis_classes
+from wpdcert.action import AxisData, axis_classes
 from wpdcert.certifier import (
     ParameterError,
     RootExponentMap,
     certify,
     degree_bound,
+    degree_check,
     epsilon_window,
     exclusion_data,
     fix_monotonicity_check,
@@ -57,19 +61,41 @@ def test_eps_max_decides_every_eps_in_the_window():
     # the window checks, the degree bound and both exclusions only get easier
     # as eps shrinks, so certify decides them at eps_max alone; just past
     # eps_max the degree-2 exclusion fails, so no wider tolerance is admissible
+    # (certify decides at eps_max only, so the probes run on the float reference)
     rhs2, rhs3 = math.acosh(3.0 / SQRT2), math.acosh(4.0)
     for n in range(2, 101):
         axis = axis_classes(n, 2)
+        worst = {deg: worst_case_intersection(n, deg, axis) for deg in (2, 3)}
         eps_max = epsilon_window(n)["eps_max"]
         threshold = math.acosh(SQRT2 + 1.0 / (n * SQRT2))
         assert threshold < rhs2
         for eps in [eps_max * k / 10 for k in range(1, 10)] + [eps_max, 1e-9 * eps_max]:
-            assert math.acosh(SQRT2) + eps <= threshold + certifier.BOUNDARY_TOL
+            assert math.acosh(SQRT2) + eps <= threshold + BOUNDARY_TOL
             assert 2.0 * math.acosh(SQRT2) + eps < rhs3
             assert degree_bound(eps) < 4.0
-            assert exclusion_data(n, 2, eps, axis)["ok"]
-            assert exclusion_data(n, 3, eps, axis)["ok"]
-        assert not exclusion_data(n, 2, eps_max + 1e-3, axis)["ok"]
+            assert reference_float_exclusion(2, worst[2], eps)["ok"]
+            assert reference_float_exclusion(3, worst[3], eps)["ok"]
+        assert not reference_float_exclusion(2, worst[2], eps_max + 1e-3)["ok"]
+
+
+def test_exact_window_decisions_equal_the_float_reference():
+    # every n that a depth-2 axis admits; the displayed floats keep 12 digits
+    for n in range(2, 834):
+        ref = reference_float_window(n)
+        win = epsilon_window(n)
+        assert win["eps_max"] == ref["eps_max"]
+        # the one exact window check stands for the reference's three
+        assert list(win["checks"]) == ["deg2_threshold_lt_deg3_bound"]
+        ref_checks = ("proj_plus_eps_le_deg2_threshold", "deg2_threshold_lt_deg3_bound", "double_proj_plus_eps_lt_acosh4")
+        assert win["ok"] is all(ref[k] for k in ref_checks) is True
+        assert degree_check(n, win["eps_max"])["ok"] is ref["degree_bound"] is True
+        axis = AxisData(n, 2)
+        for deg in (2, 3):
+            exact = exclusion_data(n, deg, axis)
+            float_ref = reference_float_exclusion(deg, exact["worst_case"], ref["eps_max"])
+            assert exact["ok"] is float_ref["ok"] is True
+            for key in ("bound", "threshold"):
+                assert f"{exact[key]:.12g}" == f"{float_ref[key]:.12g}"
 
 
 def test_three_decimal_sanity_constants():
@@ -86,7 +112,11 @@ def test_degree_bound():
     value = degree_bound(epsilon_window(2)["eps_max"])
     assert 3.0 < value < 4.0
     for n in range(2, 101):
-        assert degree_bound(epsilon_window(n)["eps_max"]) < 4.0
+        eps_max = epsilon_window(n)["eps_max"]
+        assert degree_bound(eps_max) < 4.0
+        # the displayed value is 2t + sqrt(2t^2 - 1), t = 1 + 1/(2n), whose bound degree_check squares
+        t = 1 + 1 / (2 * n)
+        assert abs(degree_check(n, eps_max)["value"] - (2 * t + math.sqrt(2 * t * t - 1))) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -128,17 +158,46 @@ def test_exclusion_checks():
     for n in (2, 3, 7):
         axis = axis_classes(n, 3)
         eps = epsilon_window(n)["eps_max"]
-        data3 = exclusion_data(n, 3, eps, axis)
+        data3 = exclusion_data(n, 3, axis)
         assert abs(data3["bound"] - 3.0 / SQRT2) < 1e-12
         assert data3["ok"]
-        data2 = exclusion_data(n, 2, eps, axis)
+        data2 = exclusion_data(n, 2, axis)
         assert abs(data2["bound"] - (SQRT2 + 1.0 / (n * SQRT2))) < 1e-12
         # equality boundary of the window: bound == threshold
         assert abs(data2["bound"] - data2["threshold"]) < 1e-9
         assert data2["ok"]
-        assert exclusion_data(n, 2, eps * 0.9, axis)["ok"]
+        # other tolerances than eps_max, on the float reference
+        assert reference_float_exclusion(2, data2["worst_case"], eps * 0.9)["ok"]
         # just past the window the degree-2 exclusion fails
-        assert not exclusion_data(n, 2, eps + 1e-3, axis)["ok"]
+        assert not reference_float_exclusion(2, data2["worst_case"], eps + 1e-3)["ok"]
+
+
+def test_degree_2_exclusion_is_decided_with_no_slack(monkeypatch):
+    # at eps_max the degree-2 exclusion is an equality, so any lower worst case fails it
+    real = certifier.worst_case_intersection
+    monkeypatch.setattr(
+        certifier,
+        "worst_case_intersection",
+        lambda n, deg, axis: real(n, deg, axis) - (Fraction(1, 10**15) if deg == 2 else 0),
+    )
+    rep = certify(2, 20)
+    assert rep.verdicts["exclusion_deg2_ok"] is False
+    assert rep.verdicts["exclusion_deg3_ok"] is True
+
+
+def test_projection_is_decided_with_no_slack(monkeypatch):
+    # |2/w.w - 2| <= tail_norm_sq holds for w.w = 1 + tail_norm_sq/2; a w.w
+    # higher by 1e-12 fails it (a 1e-9 slack on the distance would hide that)
+    real = action.axis_pairings
+
+    def raised(axis):
+        pairs = real(axis)
+        return pairs | {"w_norm_sq": pairs["w_norm_sq"] + Fraction(1, 10**12)}
+
+    monkeypatch.setattr(action, "axis_pairings", raised)
+    rep = certify(2, 20)
+    assert rep.verdicts["projection_ok"] is False
+    assert rep.sections["projection"]["cosh_sq"] == 2 / rep.axis_facts["w_norm_sq"]
 
 
 def test_fix_set_symbolic_prime_fields():

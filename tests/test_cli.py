@@ -70,6 +70,19 @@ def test_translation_tolerance_is_exact_past_float_underflow(capsys):
     assert translation["ok"] is (gap**2 <= tolerance_sq) is True
 
 
+def test_projection_is_re_decided_from_the_printed_exact_values(capsys):
+    # sqrt(2) 2^-(depth+1) underflows past depth 1074; the report prints the
+    # exact cosh^2 d(l, w) = 2/w.w and the exact bound it is decided against
+    code, out, err = run_cli(capsys, "certify", "--n", "2", "--depth", "1665")
+    assert code == 0 and err == ""
+    projection = json.loads(out)["projection"]
+    tolerance = Fraction(projection["tolerance"])
+    assert tolerance == Fraction(2, 2 ** (2 * 1666)) != 0
+    gap = Fraction(projection["cosh_sq"]) - 2
+    assert gap != 0
+    assert projection["ok"] is (abs(gap) <= tolerance) is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,9 +12,9 @@ import pytest
 from wpdcert.cli import main
 
 GOLDEN = [
-    ("certify --n 2 --depth 8 --prime 7", 0, "5c63849141a6e767b87c09b67802c14e6a4da8fec135098c29b6407f2b899da4"),
+    ("certify --n 2 --depth 8 --prime 7", 0, "3441d9e77ef7939aa90d3f9433bc58c6e85fd528f90c8e81da17eb7dac1d0919"),
     ("certify --n 2 --depth 8 --prime 7 --format csv", 0, "dc3ee8af11e7ed4da7cecf803d301bf508f7c7972dfadb3a6cdc0d25f5fd24d8"),
-    ("certify --n 3 --depth 12", 0, "b1c2ffda8d330551deb9f82ae83a50ca43570541c09bc2f5b3825ed0923cdbc8"),
+    ("certify --n 3 --depth 12", 0, "40d0d1f5b51240b15bf850144b939f718650c3b749221fea189ac50e42f2452f"),
     ("axis --n 2 --depth 4", 0, "f2dbdfb266eeabc7c122ee546a08933ab3155049713930d212b9b57a0cd72082"),
     ("axis --n 2 --depth 4 --format csv", 0, "868e4ab98e66cf468c3f354ad0a88238c51304608197c10683414c3774c09e34"),
     ("orbit --n 3 --label q0 --iters 4", 0, "2fcc2e12c6ae186204ededc7c813d93c771c3bc5e747fbbb0eca0673c38b178e"),
@@ -43,7 +43,7 @@ GOLDEN = [
     ("oracle --n 3 --prime 17", 0, "cc1c86b3a2e14ef178b38b09a70327ac62f200b259595a70130ec777732be202"),
     # large depths, where the n^(2d+2) denominators and the insertion order of
     # w_scaled (which the geodesic point's float sums follow) show
-    ("certify --n 2 --depth 800", 0, "ffd9bf004e61f86933db75e22598b39a53c7fd2bd7afda1f0cd94fab58f97a59"),
+    ("certify --n 2 --depth 800", 0, "f062277a822d15b634b4e1f238ec92102c559fdb51d7cc8b77672ab9883073bf"),
     ("certify --n 5 --depth 120 --format csv", 0, "26c6904c52657110cf8d0f16f36790955c769d573096c9ec9b968721aa2a8f46"),
     ("geodesic --n 3 --depth 200 --t 0.4", 0, "df9513c5ca3c48e21d2bd4e949321c3251bf588a0fc21e653425f0d5a88f16b3"),
     ("axis --n 2 --depth 800 --format csv", 0, "3b9cf1a948428168b0af81405813fbeefeca5bd8c4cf6eb7a3065cf40dc664ed"),

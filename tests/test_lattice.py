@@ -207,9 +207,10 @@ def _shared_pairs(draw):
 @given(_shared_pairs())
 def test_intersect_on_shared_coefficient_objects(pair):
     c, d = pair
+    # a cross pairing multiplies the coefficients of every shared label afresh
     assert intersect(c, d) == reference_intersect(c, d)
     assert intersect(d, c) == reference_intersect(d, c)
-    # the same object on both sides of every label
+    # a self-pairing squares once per run of one coefficient object
     assert intersect(c, c) == reference_intersect(c, c)
     assert intersect(d, d) == reference_intersect(d, d)
 
